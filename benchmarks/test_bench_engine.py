@@ -4,14 +4,20 @@ The measurement itself lives in :mod:`repro.perf.enginebench` (shared
 with ``repro bench --check``); this test runs it, asserts the speedup
 thresholds, prints the table, and writes
 ``benchmarks/results/BENCH_engine.json`` -- the committed baseline the
-regression gate compares future runs against.
+regression gate compares future runs against.  The wall-clock speedups
+are paired with a deterministic gate on the bytes one fused batch
+allocates.
 """
 
 import json
 
 import pytest
 
-from repro.perf.enginebench import format_engine_bench, run_engine_bench
+from repro.perf.enginebench import (
+    format_engine_bench,
+    measure_fused_alloc,
+    run_engine_bench,
+)
 
 from .conftest import RESULTS_DIR
 
@@ -37,3 +43,12 @@ def test_bench_engine_speedup():
         f"batched path must be >= 3x at 8 banks; got {at8['speedup']:.2f}x"
     )
     assert at8["parallelism"] == pytest.approx(8.0)
+
+
+def test_bench_engine_fused_batch_allocates_less_than_a_row():
+    """The fused kernel computes in place: a warm 64-row x 128 KiB AND
+    batch allocates less than one row's bytes at its peak (a gathering
+    kernel needs whole operand copies)."""
+    alloc = measure_fused_alloc(banks=8, rows_per_bank=8, row_bytes=131072)
+    assert alloc["rows"] == 64
+    assert alloc["tracemalloc_peak_bytes"] < 131072, alloc

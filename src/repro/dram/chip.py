@@ -214,8 +214,8 @@ class DramChip:
     def peek_rows(self, bank: int, subarray: int, addresses) -> np.ndarray:
         """Backdoor-read several data rows of one subarray at once.
 
-        Returns an ``(len(addresses), words_per_row)`` array; the batch
-        engine's fused kernels read operands through this port.
+        Returns an ``(len(addresses), words_per_row)`` array, a copy of
+        the rows (see :meth:`~repro.dram.subarray.Subarray.peek_batch`).
         """
         return self.bank(bank).subarray(subarray).peek_batch(addresses)
 

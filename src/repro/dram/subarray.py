@@ -215,9 +215,11 @@ class Subarray:
     def peek_batch(self, storage_rows) -> np.ndarray:
         """Read several storage rows at once (debug port).
 
-        Returns an ``(len(storage_rows), words_per_row)`` uint64 copy.
-        This is the read side of the batch engine's fused kernels: one
-        fancy-indexed numpy gather instead of N per-row peeks.
+        Returns an ``(len(storage_rows), words_per_row)`` uint64 copy:
+        one fancy-indexed numpy gather instead of N per-row peeks.  The
+        batch engine's compiled-op kernel reads its operands this way;
+        the native fused kernel computes in place on views of
+        :attr:`cells` instead.
         """
         index = self._batch_index(storage_rows)
         return self.cells[index]  # advanced indexing copies
@@ -245,9 +247,9 @@ class Subarray:
     def touch_rows(self, storage_rows, now_ns: float) -> None:
         """Mark rows as restored at ``now_ns`` without changing contents.
 
-        The batch engine uses this for the *source* rows of a fused
-        operation: on the command path their activation restores (and
-        thereby refreshes) them.
+        The batch engine's compiled-op kernel uses this for the *source*
+        rows of a fused operation: on the command path their activation
+        restores (and thereby refreshes) them.
         """
         self.last_restore_ns[self._batch_index(storage_rows)] = now_ns
 

@@ -9,12 +9,16 @@ numpy work does.  This engine is the fast path the ROADMAP asks for:
    :class:`~repro.engine.plan.RowPlan` (microprogram + latencies +
    per-(bank, subarray) command schedule) from the controller's
    :class:`~repro.engine.plan.PlanCache`.
-2. **Execute in bulk** -- all rows of a (bank, subarray) group are
-   applied as *one* vectorised numpy operation over an
-   ``(N x words_per_row)`` view (:meth:`repro.dram.subarray.Subarray.peek_batch`
-   / ``poke_batch``), while the accounting (per-row command
-   timing/energy, AAP/AP counts, the command trace itself) is charged
-   exactly as if every row had walked the per-row path.
+2. **Execute in place** -- the rows of a (bank, subarray) group are
+   split into maximal runs whose destination rows are consecutive and
+   whose source rows are consecutive or fixed, and each run is *one*
+   vectorised numpy call (:func:`apply_bulk_op` with ``out=``) on
+   basic-slice views of ``Subarray.cells``: no gather, no result
+   array, no scatter.  The driver's co-located allocation makes each
+   group one run; scattered rows become runs of length 1.  The
+   accounting (per-row command timing/energy, AAP/AP counts, the
+   command trace itself) is charged exactly as if every row had walked
+   the per-row path.
 3. **Overlap across banks** -- groups are issued round-robin across
    banks (:class:`~repro.engine.scheduler.BatchScheduler`), and every
    batch returns a :class:`~repro.engine.scheduler.ParallelismReport`
@@ -74,20 +78,32 @@ def apply_bulk_op(
     src1: np.ndarray,
     src2: Optional[np.ndarray] = None,
     src3: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The functional effect of a bulk operation on packed uint64 rows.
 
     This is the single definition of truth the fused kernels use; the
     property tests pin it against the command-level walk bit for bit.
+
+    With ``out`` the result is written into that array (which must not
+    overlap any source) and ``out`` is returned; no result array is
+    allocated.  The fused kernel passes views of the subarray's cells
+    for every operand, so it computes where the rows live.
     """
+    arity = op.arity
+    if (src2 is not None, src3 is not None) != (arity >= 2, arity == 3):
+        raise AddressError(
+            f"{op.value} takes {arity} source operand"
+            f"{'s' if arity > 1 else ''}"
+        )
+    if out is not None:
+        return _apply_into(op, src1, src2, src3, out)
     if op is BulkOp.NOT:
         return ~src1
     if op is BulkOp.COPY:
         return src1.copy()
     if op is BulkOp.MAJ:
         return (src1 & src2) | (src1 & src3) | (src2 & src3)
-    if src2 is None:
-        raise AddressError(f"{op.value} needs a second operand")
     if op is BulkOp.AND:
         return src1 & src2
     if op is BulkOp.OR:
@@ -101,6 +117,74 @@ def apply_bulk_op(
     if op is BulkOp.XNOR:
         return ~(src1 ^ src2)
     raise AddressError(f"unknown bulk operation {op}")
+
+
+def _apply_into(op, src1, src2, src3, out) -> np.ndarray:
+    """The ``out=`` form of :func:`apply_bulk_op`."""
+    if op is BulkOp.AND:
+        return np.bitwise_and(src1, src2, out=out)
+    if op is BulkOp.OR:
+        return np.bitwise_or(src1, src2, out=out)
+    if op is BulkOp.XOR:
+        return np.bitwise_xor(src1, src2, out=out)
+    if op is BulkOp.NOT:
+        return np.invert(src1, out=out)
+    if op is BulkOp.COPY:
+        np.copyto(out, src1)
+        return out
+    if op is BulkOp.MAJ:
+        # maj(a, b, c) = (a & (b | c)) | (b & c); the last term needs
+        # the one temporary this op cannot avoid.
+        np.bitwise_or(src2, src3, out=out)
+        np.bitwise_and(out, src1, out=out)
+        return np.bitwise_or(out, src2 & src3, out=out)
+    if op is BulkOp.NAND:
+        np.bitwise_and(src1, src2, out=out)
+    elif op is BulkOp.NOR:
+        np.bitwise_or(src1, src2, out=out)
+    elif op is BulkOp.XNOR:
+        np.bitwise_xor(src1, src2, out=out)
+    else:
+        raise AddressError(f"unknown bulk operation {op}")
+    return np.invert(out, out=out)
+
+
+def _row_runs(columns: List[List[int]], storage_rows: int) -> List[list]:
+    """Split aligned address columns into maximal runs of rows.
+
+    Within a run the destination (column 0) steps by +1 from row to row
+    and every source either steps by +1 or stays on one row, so each
+    operand of the run is one basic index into the cell array: a slice
+    of as many rows as the run, a one-row slice that broadcasts over it
+    (the fixed source rows of a throughput batch), or, for a run of
+    length 1 (scattered rows), the row address itself.  Returns one
+    index per column for every run.
+    """
+    if min(map(min, columns)) < 0 or max(map(max, columns)) >= storage_rows:
+        raise AddressError(f"batch rows out of range [0, {storage_rows})")
+    dst = columns[0]
+    n = len(dst)
+    runs = []
+    first, steps = 0, None
+    for k in range(1, n + 1):
+        if k < n and dst[k] == dst[k - 1] + 1:
+            step = [col[k] - col[k - 1] for col in columns]
+            if steps is None:
+                if all(s == 0 or s == 1 for s in step):
+                    steps = step
+                    continue
+            elif step == steps:
+                continue
+        length = k - first
+        if steps is None:
+            runs.append([col[first] for col in columns])
+        else:
+            runs.append([
+                slice(col[first], col[first] + (length if s else 1))
+                for col, s in zip(columns, steps)
+            ])
+        first, steps = k, None
+    return runs
 
 
 class _Group:
@@ -485,28 +569,24 @@ class BatchEngine:
                 f"bank {bank} must be precharged before a bulk operation"
             )
         subarray = self.chip.bank(bank).subarray(sub)
-        indices = group.indices
+        cells, restore = subarray.cells, subarray.last_restore_ns
         start_ns = self.chip.clock_ns
 
-        # Functional effect: one numpy operation over the whole group.
-        a = subarray.peek_batch([src1[i].address for i in indices])
-        b = c = None
-        if src2 is not None:
-            b = subarray.peek_batch([src2[i].address for i in indices])
-        if src3 is not None:
-            c = subarray.peek_batch([src3[i].address for i in indices])
-        result = apply_bulk_op(op, a, b, c)
-        dst_addrs = [dst[i].address for i in indices]
-        subarray.poke_batch(dst_addrs, result, now_ns=start_ns)
-        # Source activations restore (and thereby refresh) their rows.
-        touched = list(dst_addrs)
-        for i in indices:
-            touched.append(src1[i].address)
-            if src2 is not None:
-                touched.append(src2[i].address)
-            if src3 is not None:
-                touched.append(src3[i].address)
-        subarray.touch_rows(touched, now_ns=start_ns)
+        # Functional effect, in place: one numpy call per run of rows
+        # on basic-slice views of the cells -- no gather, no result
+        # array, no scatter.  Eligibility rules out any overlap between
+        # destination and source rows, so the views never alias.
+        columns = [
+            [rows[i].address for i in group.indices]
+            for rows in (dst, src1, src2, src3)
+            if rows is not None
+        ]
+        for run in _row_runs(columns, len(cells)):
+            apply_bulk_op(op, *[cells[s] for s in run[1:]], out=cells[run[0]])
+            # The destination is restored by its write, and every source
+            # activation restores (and thereby refreshes) its rows.
+            for s in run:
+                restore[s] = start_ns
 
         self.account_group(op, group)
 

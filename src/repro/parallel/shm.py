@@ -12,9 +12,10 @@ as::
 Each :class:`~repro.dram.subarray.Subarray` is then constructed over a
 *view* into the segment, so a worker process that attaches to the same
 segment by name shares the parent's address space with zero copies:
-``peek_batch``/``poke_batch`` gathers and scatters land straight in the
-shared buffer, and the only data that crosses the process boundary is
-the (tiny) description of which rows to operate on.
+the fused kernel computes in place on views of the segment, so its
+writes land straight in the shared buffer, and the only data that
+crosses the process boundary is the (tiny) description of which rows
+to operate on.
 
 Shard safety comes from *partitioning*, not locking: the
 :class:`~repro.parallel.device.ShardedDevice` hands each worker a

@@ -5,9 +5,9 @@ marginal row cost very differently:
 
 * **serial** -- the per-row command walk.  No planning or group setup,
   but every row pays full Python dispatch; right only for tiny batches.
-* **fused** -- the in-process batch engine: one planning pass, then one
-  vectorised numpy kernel per (bank, subarray) group.  The default for
-  anything that fits one process.
+* **fused** -- the in-process batch engine: one planning pass, then
+  in-place numpy kernels on views of each (bank, subarray) group's
+  cells.  The default for anything that fits one process.
 * **sharded** -- fan the fused kernels across worker processes.  Adds a
   fixed dispatch cost (submit + collect through the pool) and a
   per-shard cost, but divides the numpy byte work by the effective

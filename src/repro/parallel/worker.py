@@ -3,7 +3,7 @@
 Each worker owns a process-global :class:`~repro.core.device.AmbitDevice`
 built over the parent's :class:`~repro.parallel.shm.SharedRowStore`
 segment, so the *functional* effect of every bulk operation it executes
-(the numpy gathers/scatters of the batch engine) lands directly in the
+(the batch engine's in-place kernel writes) lands directly in the
 parent-visible cell arrays.
 
 The dispatch protocol is **resident-plan, zero-copy**:

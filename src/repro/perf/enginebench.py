@@ -2,17 +2,21 @@
 
 The per-row path walks ``compile -> primitives -> commands -> subarray``
 in pure Python for every row; the batch engine compiles each distinct
-plan once, fuses the functional work of a (bank, subarray) group into
-one numpy operation, and extends the trace from cached command
-schedules.  :func:`run_engine_bench` measures real wall-clock time for
-both paths on the Figure-9-style workload across bank counts and
-returns the ``BENCH_engine.json`` payload:
+plan once, evaluates the functional work of a (bank, subarray) group in
+place on views of the cells (one numpy call per run of consecutive
+rows), and extends the trace from cached command schedules.
+:func:`run_engine_bench` measures real wall-clock time for both paths
+on the Figure-9-style workload across bank counts and returns the
+``BENCH_engine.json`` payload:
 
 * ``slow_rows_per_s`` / ``batched_rows_per_s`` -- best-of-``repeats``
   wall-clock row throughput of each path,
 * ``speedup`` -- their ratio,
 * ``parallelism`` -- the engine's serialized-vs-interleaved makespan
-  ratio (the modelled bank-level overlap, distinct from wall-clock).
+  ratio (the modelled bank-level overlap, distinct from wall-clock),
+* ``fused_alloc`` -- the ``tracemalloc`` peak of one warm fused batch
+  on the 64-row x 128 KiB shape (:func:`measure_fused_alloc`), the
+  deterministic proxy that pairs with the wall-clock speedups.
 
 Both paths are pinned bit-exact and accounting-exact against each other
 inside the run, so a speedup can never come from skipped work.  The
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
@@ -126,6 +131,48 @@ def run_engine_bench(
         "rows_per_bank": rows_per_bank,
         "row_bytes": row_bytes,
         "results": results,
+        "fused_alloc": measure_fused_alloc(op=op),
+    }
+
+
+def measure_fused_alloc(
+    banks: int = 8,
+    rows_per_bank: int = 8,
+    row_bytes: int = 131072,
+    op: BulkOp = BulkOp.AND,
+) -> Dict[str, Any]:
+    """Peak bytes one warm fused batch allocates, by ``tracemalloc``.
+
+    The default shape is the ``BENCH_parallel`` bulk arm: 64 rows of
+    128 KiB.  The plan cache is warmed and the trace reset first, so
+    the figure is the steady state of planning, kernel and accounting.
+    Unlike wall-clock it does not depend on host load: repeated runs
+    agree to within a few KiB.
+    """
+    device = AmbitDevice(geometry=_geometry(banks, row_bytes))
+    dst, src1, src2 = throughput_rows(device, op, rows_per_bank)
+    device.engine.run_rows(op, dst, src1, src2)
+    device.reset_stats()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = device.engine.run_rows(op, dst, src1, src2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    if report.fused_rows != len(dst):
+        raise ConfigError(
+            f"batch engine fused {report.fused_rows}/{len(dst)} rows"
+        )
+    return {
+        "op": op.value,
+        "rows": len(dst),
+        "row_bytes": row_bytes,
+        "tracemalloc_peak_bytes": peak,
     }
 
 
@@ -141,4 +188,9 @@ def format_engine_bench(payload: Dict[str, Any]) -> str:
             f"{r['batched_rows_per_s']:>14.0f} {r['speedup']:>8.1f}x "
             f"{r['parallelism']:>11.2f}x"
         )
+    alloc = payload["fused_alloc"]
+    lines.append(
+        f"fused batch of {alloc['rows']} x {alloc['row_bytes']} B rows: "
+        f"tracemalloc peak {alloc['tracemalloc_peak_bytes']} B"
+    )
     return "\n".join(lines)
