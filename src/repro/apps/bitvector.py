@@ -142,40 +142,64 @@ class BitVector:
         for v in operands + [dst]:
             if v.handle.num_rows != self.handle.num_rows:
                 raise AllocationError("bitvector operands must have equal row counts")
-        driver = self.system.driver
-        if self.device.tracer is not None:
-            for i in range(self.handle.num_rows):
-                d = dst.handle.rows[i]
-                a = driver.stage_for(self.handle.rows[i], d, scratch_index=0)
-                b = None
-                if other is not None:
-                    b = driver.stage_for(other.handle.rows[i], d, scratch_index=1)
-                self.device.bbop_row(op, d, a, b)
-            return dst
-        # Batched path: fuse co-located chunks, stage strays per row.
-        dst_rows, src_rows, other_rows = [], [], []
-        for i in range(self.handle.num_rows):
-            d = dst.handle.rows[i]
-            a = self.handle.rows[i]
-            b = other.handle.rows[i] if other is not None else None
-            colocated = (a.bank, a.subarray) == (d.bank, d.subarray) and (
-                b is None or (b.bank, b.subarray) == (d.bank, d.subarray)
-            )
-            if colocated:
-                dst_rows.append(d)
-                src_rows.append(a)
-                if b is not None:
-                    other_rows.append(b)
-            else:
-                a = driver.stage_for(a, d, scratch_index=0)
-                if b is not None:
-                    b = driver.stage_for(b, d, scratch_index=1)
-                self.device.bbop_row(op, d, a, b)
-        if dst_rows:
-            self.device.engine.run_rows(
-                op, dst_rows, src_rows, other_rows if other is not None else None
-            )
+        self._execute(op, dst, operands)
         return dst
+
+    def _execute(self, op, dst: "BitVector", vectors, temp_handles=()) -> None:
+        """``dst = op(*vectors)`` chunk by chunk, for any op.
+
+        Co-located chunks run as one batch through the device's
+        ``run_rows`` (the sharded device's when one wraps the engine);
+        chunks with cross-subarray operands are staged through the
+        :class:`AmbitDriver` scratch rows and run per row, as does every
+        chunk while a tracer is attached.  ``temp_handles`` are the
+        scratch vectors a compiled op clobbers, chunk-aligned with
+        ``dst``.
+        """
+        dst_rows = dst.handle.rows
+        source_cols = [v.handle.rows for v in vectors]
+        temp_cols = [h.rows for h in temp_handles]
+        if self.device.tracer is not None:
+            per_row = range(len(dst_rows))
+        else:
+            places = [(d.bank, d.subarray) for d in dst_rows]
+            per_row = sorted({
+                i
+                for col in source_cols
+                for i, (s, place) in enumerate(zip(col, places))
+                if (s.bank, s.subarray) != place
+            })
+        driver = self.system.driver
+        for i in per_row:
+            d = dst_rows[i]
+            srcs = [col[i] for col in source_cols]
+            strays = [
+                k for k, s in enumerate(srcs)
+                if (s.bank, s.subarray) != (d.bank, d.subarray)
+            ]
+            if len(strays) > 2:
+                raise AllocationError(
+                    f"chunk {i} has {len(strays)} cross-subarray operands; "
+                    f"only 2 scratch rows exist -- allocate operands with "
+                    f"like= to co-locate them"
+                )
+            for scratch, k in enumerate(strays):
+                srcs[k] = driver.stage_for(srcs[k], d, scratch_index=scratch)
+            self.device.bbop_row(
+                op, d, *srcs, temps=[col[i] for col in temp_cols]
+            )
+        if len(per_row) == len(dst_rows):
+            return
+        if per_row:
+            done = set(per_row)
+            batch = [i for i in range(len(dst_rows)) if i not in done]
+            dst_rows = [dst_rows[i] for i in batch]
+            source_cols = [[col[i] for i in batch] for col in source_cols]
+            temp_cols = [[col[i] for i in batch] for col in temp_cols]
+        runner = getattr(self.device, "run_rows", None)
+        if runner is None:
+            runner = self.device.engine.run_rows
+        runner(op, dst_rows, *source_cols, temps=temp_cols)
 
     def _binary(self, op: BulkOp, other: "BitVector") -> "BitVector":
         dst = self.system.bitvector(self.nbits, like=self)
@@ -273,7 +297,7 @@ class BitVector:
         dst = self.system.bitvector(self.nbits, like=self)
         driver = self.system.driver
         with driver.temp_rows(dst.handle, cop.num_temps) as temp_handles:
-            self._execute_compiled(cop, dst, vectors, temp_handles)
+            self._execute(cop, dst, vectors, temp_handles)
         # A compiled function with a non-zero image of all-zero inputs
         # (xnor-shaped outputs) flips the padding of the final partial
         # row; re-zero it so popcount and round-trips stay correct.
@@ -283,65 +307,6 @@ class BitVector:
         if int(pad[0]):
             dst._clear_padding()
         return dst
-
-    def _execute_compiled(self, cop, dst, vectors, temp_handles) -> None:
-        driver = self.system.driver
-        num_rows = self.handle.num_rows
-
-        def row_operands(i):
-            d = dst.handle.rows[i]
-            srcs = [v.handle.rows[i] for v in vectors]
-            strays = [
-                s for s in srcs
-                if (s.bank, s.subarray) != (d.bank, d.subarray)
-            ]
-            if len(strays) > 2:
-                raise AllocationError(
-                    f"chunk {i} has {len(strays)} cross-subarray operands; "
-                    f"only 2 scratch rows exist -- allocate operands with "
-                    f"like= to co-locate them"
-                )
-            temps = [h.rows[i] for h in temp_handles]
-            return d, srcs, strays, temps
-
-        if self.device.tracer is not None:
-            for i in range(num_rows):
-                d, srcs, _, temps = row_operands(i)
-                staged = []
-                scratch = 0
-                for s in srcs:
-                    if (s.bank, s.subarray) != (d.bank, d.subarray):
-                        s = driver.stage_for(s, d, scratch_index=scratch)
-                        scratch += 1
-                    staged.append(s)
-                self.device.bbop_compiled_row(cop, d, staged, temps)
-            return
-        # Batched path: fuse co-located chunks, stage strays per row.
-        dst_rows = []
-        operand_cols = [[] for _ in range(cop.arity)]
-        temp_cols = [[] for _ in range(cop.num_temps)]
-        for i in range(num_rows):
-            d, srcs, strays, temps = row_operands(i)
-            if not strays:
-                dst_rows.append(d)
-                for col, s in zip(operand_cols, srcs):
-                    col.append(s)
-                for col, t in zip(temp_cols, temps):
-                    col.append(t)
-                continue
-            staged = []
-            scratch = 0
-            for s in srcs:
-                if (s.bank, s.subarray) != (d.bank, d.subarray):
-                    s = driver.stage_for(s, d, scratch_index=scratch)
-                    scratch += 1
-                staged.append(s)
-            self.device.bbop_compiled_row(cop, d, staged, temps)
-        if dst_rows:
-            runner = getattr(self.device, "run_compiled", None)
-            if runner is None:
-                runner = self.device.engine.run_compiled
-            runner(cop, dst_rows, operand_cols, temp_cols)
 
     def copy(self) -> "BitVector":
         """Duplicate the vector (RowClone copies, co-located)."""

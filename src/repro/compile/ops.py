@@ -22,12 +22,16 @@ Scratch slots are assigned by a linear scan over step liveness, so a
 deep expression reuses a small set of reserved rows instead of one row
 per gate.
 
-The class is duck-typed against :class:`repro.core.microprograms.BulkOp`
-where the engine needs it (``.value``, ``.arity``, hashability) and
-adds the compiled-op protocol: :meth:`program` (bind slots to real row
-addresses and concatenate the native microprograms) and
-:meth:`eval_rows` (the functional model used by the fused batch kernel
-and the fault-tolerant shadow).
+A compiled op speaks the program protocol every
+:class:`repro.core.microprograms.BulkOp` speaks (``value``, ``arity``,
+``steps``, ``num_temps``, ``uses_single_dcc``/``uses_dual_dcc``,
+:meth:`~CompiledOp.program`); a native op is simply the one-step
+program.  Every execution layer -- plan cache, controller, batch
+engine, sharded device, fault-tolerant session -- therefore runs both
+through one path taking ``(op, dst, sources, temps)``.
+:meth:`CompiledOp.eval_rows` is the functional model over row values,
+interpreting the steps through
+:func:`repro.engine.batch.apply_bulk_op` like the fused kernel does.
 """
 
 from __future__ import annotations
@@ -47,13 +51,19 @@ from repro.compile.netlist import (
     Operand,
     build_netlist,
 )
-from repro.core.microprograms import BulkOp, Microprogram, compile_op
+from repro.core.microprograms import (
+    C0_SLOT,
+    C1_SLOT,
+    DST_SLOT,
+    DUAL_DCC_OPS,
+    SINGLE_DCC_OPS,
+    BulkOp,
+    Microprogram,
+    Step,
+    compile_op,
+)
+from repro.engine.batch import eval_program
 from repro.errors import CompileError
-
-#: Sentinel slots resolved at :meth:`CompiledOp.program` time.
-C0_SLOT = -1   # the all-zeros control row, amap.c(0)
-C1_SLOT = -2   # the all-ones control row, amap.c(1)
-DST_SLOT = -3  # the caller's destination row
 
 #: AAP/AP cost of each native microprogram (Section 3.4 / Figure 8).
 AAP_COUNTS = {
@@ -69,18 +79,6 @@ AAP_COUNTS = {
 }
 AP_COUNTS = {BulkOp.XOR: 2, BulkOp.XNOR: 2}
 
-_SINGLE_DCC_STEPS = (BulkOp.NOT, BulkOp.NAND, BulkOp.NOR)
-_DUAL_DCC_STEPS = (BulkOp.XOR, BulkOp.XNOR)
-
-
-@dataclass(frozen=True)
-class Step:
-    """One native microprogram: ``dst <- op(*srcs)`` over row slots."""
-
-    op: BulkOp
-    dst: int
-    srcs: Tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class CompiledOp:
@@ -92,7 +90,7 @@ class CompiledOp:
     num_temps: int
     fingerprint: str
 
-    # -- the BulkOp-compatible surface -------------------------------
+    # -- the program protocol shared with BulkOp -----------------------
     @property
     def value(self) -> str:
         """Label used by metrics, tracing, and plan-cache stats."""
@@ -114,12 +112,12 @@ class CompiledOp:
     @property
     def uses_single_dcc(self) -> bool:
         """True when some step routes through one dual-contact cell."""
-        return any(step.op in _SINGLE_DCC_STEPS for step in self.steps)
+        return any(step.op in SINGLE_DCC_OPS for step in self.steps)
 
     @property
     def uses_dual_dcc(self) -> bool:
         """True when some step needs both dual-contact cells (XOR/XNOR)."""
-        return any(step.op in _DUAL_DCC_STEPS for step in self.steps)
+        return any(step.op in DUAL_DCC_OPS for step in self.steps)
 
     # -- binding to real rows ----------------------------------------
     def _row(self, slot: int, dk: int, srcs, temps, amap) -> int:
@@ -189,35 +187,15 @@ class CompiledOp:
         """Interpret the steps over row values.
 
         Returns ``(dst_value, temp_values)`` where ``temp_values`` are
-        the *final* contents of each scratch row -- the fused batch
-        kernel pokes those too, so fused and per-row execution leave
-        bit-identical memory behind.
+        the *final* contents of each scratch row -- what the fused batch
+        kernel and the per-row walk leave behind.  Constant rows are
+        built only when a step reads one.
         """
         if len(sources) != self.arity:
             raise CompileError(
                 f"{self.value} takes {self.arity} sources; got {len(sources)}"
             )
-        values: Dict[int, np.ndarray] = {
-            i: np.asarray(src) for i, src in enumerate(sources)
-        }
-        sample = values[0]
-        zeros = sample ^ sample
-        values[C0_SLOT] = zeros
-        values[C1_SLOT] = ~zeros
-        dst = None
-        for step in self.steps:
-            operands = [values[s] for s in step.srcs]
-            result = _apply_native(step.op, operands)
-            if step.dst == DST_SLOT:
-                dst = result
-            else:
-                values[step.dst] = result
-        if dst is None:  # pragma: no cover - emitter always writes dst
-            raise CompileError(f"{self.value}: no step writes the destination")
-        temp_values = tuple(
-            values[self.arity + k] for k in range(self.num_temps)
-        )
-        return dst, temp_values
+        return eval_program(self, sources)
 
     # -- human-readable form -----------------------------------------
     def _slot_name(self, slot: int) -> str:
@@ -246,30 +224,6 @@ class CompiledOp:
             f"CompiledOp({self.value}/{self.arity}, {len(self.steps)} steps, "
             f"{self.num_temps} temps, {self.num_aap} AAP + {self.num_ap} AP)"
         )
-
-
-def _apply_native(op: BulkOp, operands: List[np.ndarray]) -> np.ndarray:
-    if op is BulkOp.COPY:
-        return operands[0].copy()
-    if op is BulkOp.NOT:
-        return ~operands[0]
-    a, b = operands[0], operands[1]
-    if op is BulkOp.AND:
-        return a & b
-    if op is BulkOp.OR:
-        return a | b
-    if op is BulkOp.NAND:
-        return ~(a & b)
-    if op is BulkOp.NOR:
-        return ~(a | b)
-    if op is BulkOp.XOR:
-        return a ^ b
-    if op is BulkOp.XNOR:
-        return ~(a ^ b)
-    if op is BulkOp.MAJ:
-        c = operands[2]
-        return (a & b) | (a & c) | (b & c)
-    raise CompileError(f"cannot interpret native op {op!r}")
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.addressing import AmbitAddressMap
 from repro.core.microprograms import BulkOp, Microprogram
@@ -124,18 +124,24 @@ class AmbitController:
     # ------------------------------------------------------------------
     def bbop(
         self,
-        op: BulkOp,
+        op,
         bank: int,
         subarray: int,
         dk: int,
-        di: int,
+        di: Optional[int] = None,
         dj: Optional[int] = None,
         dl: Optional[int] = None,
+        *more: int,
+        temps: Sequence[int] = (),
     ) -> Microprogram:
         """Execute one bulk bitwise operation on one subarray.
 
-        ``dk``/``di``/``dj`` are local row addresses (D-group for data,
-        C-group sources are allowed so tests can use constant rows).
+        ``op`` is a :class:`~repro.core.microprograms.BulkOp` or a
+        compiled op.  ``dk``/``di``/``dj``/``dl`` are local row
+        addresses (D-group for data, C-group sources are allowed so
+        tests can use constant rows); a compiled op with more than three
+        inputs passes the rest positionally, and ``temps`` are the
+        scratch rows its steps clobber.  ``None`` sources are dropped.
         Returns the microprogram that was executed.
 
         The compiled plan is memoised in :attr:`plan_cache`: repeated
@@ -146,48 +152,14 @@ class AmbitController:
         remapping) and the program through :attr:`dcc_route`, so callers
         never see repaired rows or rerouted negations.
         """
+        srcs = [s for s in (di, dj, dl, *more) if s is not None]
         if self.repair:
-            dk = self.repair.translate(bank, subarray, dk)
-            di = self.repair.translate(bank, subarray, di)
-            if dj is not None:
-                dj = self.repair.translate(bank, subarray, dj)
-            if dl is not None:
-                dl = self.repair.translate(bank, subarray, dl)
+            translate = self.repair.translate
+            dk = translate(bank, subarray, dk)
+            srcs = [translate(bank, subarray, s) for s in srcs]
+            temps = [translate(bank, subarray, t) for t in temps]
         dcc = self.dcc_route.get((bank, subarray), 0)
-        plan = self.plan_cache.get(op, dk, di, dj, dl, dcc)
-        self.run_plan(plan, bank, subarray)
-        return plan.program
-
-    def bbop_compiled(
-        self,
-        cop,
-        bank: int,
-        subarray: int,
-        dk: int,
-        srcs: Tuple[int, ...],
-        temps: Tuple[int, ...],
-    ) -> Microprogram:
-        """Execute one compiled (synthesized) operation on one subarray.
-
-        ``cop`` is a :class:`repro.compile.ops.CompiledOp`; ``srcs`` are
-        the operand rows in its input order and ``temps`` the reserved
-        scratch rows its steps clobber.  Same address path as
-        :meth:`bbop`: spare-row repair translates every row, the
-        subarray's DCC route picks the dual-contact cell for single
-        negations, and the bound plan memoises in :attr:`plan_cache`.
-        """
-        if self.repair:
-            dk = self.repair.translate(bank, subarray, dk)
-            srcs = tuple(
-                self.repair.translate(bank, subarray, r) for r in srcs
-            )
-            temps = tuple(
-                self.repair.translate(bank, subarray, r) for r in temps
-            )
-        dcc = self.dcc_route.get((bank, subarray), 0)
-        plan = self.plan_cache.get_compiled(
-            cop, dk, tuple(srcs), tuple(temps), dcc
-        )
+        plan = self.plan_cache.get(op, dk, *srcs, temps=temps, dcc=dcc)
         self.run_plan(plan, bank, subarray)
         return plan.program
 

@@ -15,13 +15,22 @@ rows":
 ``copy`` (one AAP) and ``init0``/``init1`` (an AAP from a control row)
 are included because RowClone-style copies are first-class citizens of
 the Ambit controller (Section 3.4).
+
+Every operation, native or synthesized by :mod:`repro.compile`, is a
+*program*: a straight-line tuple of :class:`Step`\\ s over row slots
+(``steps``), the number of scratch rows it clobbers (``num_temps``),
+and a :meth:`program` method that binds the slots to real rows.  A
+native op is the one-step program ``Step(op, DST_SLOT, (0..arity-1))``
+with no scratch rows, whose bound form is its hand-written Figure-8
+microprogram; every execution layer takes ``(op, dst, sources, temps)``
+and never asks which kind of op it holds.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.addressing import AmbitAddressMap
 from repro.core.primitives import AAP, AP, Primitive
@@ -49,14 +58,84 @@ class BulkOp(enum.Enum):
     COPY = "copy"
     MAJ = "maj"
 
+    def __init__(self, value: str):
+        # Stored per member: ``arity`` sits on every batch's hot path.
+        self._arity = (
+            1 if value in ("not", "copy") else 3 if value == "maj" else 2
+        )
+
     @property
     def arity(self) -> int:
         """Number of source operands."""
-        if self in (BulkOp.NOT, BulkOp.COPY):
-            return 1
-        if self is BulkOp.MAJ:
-            return 3
-        return 2
+        return self._arity
+
+    # -- the program protocol (shared with repro.compile.ops.CompiledOp)
+    @property
+    def steps(self) -> Tuple[Step, ...]:
+        """The one-step program ``dst <- op(sources)``."""
+        return _NATIVE_STEPS[self]
+
+    @property
+    def num_temps(self) -> int:
+        """Scratch rows the program clobbers: none for a native op."""
+        return 0
+
+    @property
+    def uses_single_dcc(self) -> bool:
+        """True when the program routes through one dual-contact cell."""
+        return self in SINGLE_DCC_OPS
+
+    @property
+    def uses_dual_dcc(self) -> bool:
+        """True when the program needs both dual-contact cells."""
+        return self in DUAL_DCC_OPS
+
+    def program(
+        self,
+        amap: AmbitAddressMap,
+        dk: int,
+        srcs: Sequence[int],
+        temps: Sequence[int] = (),
+        dcc: int = 0,
+    ) -> Microprogram:
+        """Bind the program to rows: the hand-written Figure-8 sequence."""
+        if temps or len(srcs) != self.arity:
+            raise AddressError(
+                f"{self.value} takes {self.arity} source rows and no "
+                f"scratch rows; got {len(srcs)} and {len(temps)}"
+            )
+        return compile_op(amap, self, dk, *srcs, dcc=dcc)
+
+
+#: Sentinel slots of a program step, resolved when it is bound to rows.
+C0_SLOT = -1   # the all-zeros control row, amap.c(0)
+C1_SLOT = -2   # the all-ones control row, amap.c(1)
+DST_SLOT = -3  # the caller's destination row
+
+#: Operations whose microprogram routes through a single DCC.
+SINGLE_DCC_OPS = (BulkOp.NOT, BulkOp.NAND, BulkOp.NOR)
+
+#: Operations whose 8-AAP program needs *both* DCC rows.
+DUAL_DCC_OPS = (BulkOp.XOR, BulkOp.XNOR)
+
+
+@dataclass(frozen=True)
+class Step:
+    """One native microprogram: ``dst <- op(*srcs)`` over row slots.
+
+    Slots ``0..arity-1`` are the program's sources, ``arity..`` its
+    scratch rows, and the negative sentinels the destination and the
+    control rows.
+    """
+
+    op: BulkOp
+    dst: int
+    srcs: Tuple[int, ...]
+
+
+_NATIVE_STEPS: Dict[BulkOp, Tuple[Step, ...]] = {
+    op: (Step(op, DST_SLOT, tuple(range(op.arity))),) for op in BulkOp
+}
 
 
 @dataclass(frozen=True)

@@ -211,20 +211,6 @@ class DramChip:
             location.address, value, self.clock_ns
         )
 
-    def peek_rows(self, bank: int, subarray: int, addresses) -> np.ndarray:
-        """Backdoor-read several data rows of one subarray at once.
-
-        Returns an ``(len(addresses), words_per_row)`` array, a copy of
-        the rows (see :meth:`~repro.dram.subarray.Subarray.peek_batch`).
-        """
-        return self.bank(bank).subarray(subarray).peek_batch(addresses)
-
-    def poke_rows(self, bank: int, subarray: int, addresses, values: np.ndarray) -> None:
-        """Backdoor-write several data rows of one subarray at once."""
-        self.bank(bank).subarray(subarray).poke_batch(
-            addresses, values, self.clock_ns
-        )
-
     def peek_global(self, global_row: int) -> np.ndarray:
         """Backdoor-read a global data row."""
         return self.peek_row(self.locate_data_row(global_row))

@@ -11,18 +11,24 @@ numpy work does.  This engine is the fast path the ROADMAP asks for:
    :class:`~repro.engine.plan.PlanCache`.
 2. **Execute in place** -- the rows of a (bank, subarray) group are
    split into maximal runs whose destination rows are consecutive and
-   whose source rows are consecutive or fixed, and each run is *one*
-   vectorised numpy call (:func:`apply_bulk_op` with ``out=``) on
-   basic-slice views of ``Subarray.cells``: no gather, no result
-   array, no scatter.  The driver's co-located allocation makes each
-   group one run; scattered rows become runs of length 1.  The
-   accounting (per-row command timing/energy, AAP/AP counts, the
-   command trace itself) is charged exactly as if every row had walked
-   the per-row path.
+   whose source and scratch rows are consecutive or fixed, and each run
+   evaluates the op's program step by step (:func:`apply_bulk_op` with
+   ``out=``) on basic-slice views of ``Subarray.cells``: no gather, no
+   result array, no scatter.  A native op is one step, so one numpy
+   call per run; a compiled op is one call per step.  The driver's
+   co-located allocation makes each group one run; scattered rows
+   become runs of length 1.  The accounting (per-row command
+   timing/energy, AAP/AP counts, the command trace itself) is charged
+   exactly as if every row had walked the per-row path.
 3. **Overlap across banks** -- groups are issued round-robin across
    banks (:class:`~repro.engine.scheduler.BatchScheduler`), and every
    batch returns a :class:`~repro.engine.scheduler.ParallelismReport`
    comparing serialized vs bank-interleaved makespan.
+
+Every op -- a native :class:`~repro.core.microprograms.BulkOp` or a
+:class:`~repro.compile.ops.CompiledOp` -- is a program of native steps
+over ``(dst, sources, temps)`` row slots, so one entry point
+(:meth:`BatchEngine.run_rows`) and one kernel serve both.
 
 The fused kernel only engages when it is *provably* equivalent to the
 per-row walk: no tracer attached (a tracer observes per-primitive spans
@@ -46,11 +52,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.microprograms import BulkOp
+from repro.core.microprograms import C0_SLOT, C1_SLOT, DST_SLOT, BulkOp
 from repro.dram.chip import RowLocation
 from repro.engine.plan import RowPlan
 from repro.engine.scheduler import BatchScheduler, CommandGroup, ParallelismReport
@@ -149,12 +156,58 @@ def _apply_into(op, src1, src2, src3, out) -> np.ndarray:
     return np.invert(out, out=out)
 
 
+@lru_cache(maxsize=256)
+def _step_table(op) -> Tuple[tuple, bool]:
+    """``op``'s program as ``(native op, out column, source columns,
+    aliased)`` per step, plus whether any step reads a control row.
+
+    Columns index a view list laid out as ``[dst, sources..., temps...,
+    C0, C1]``.  ``aliased`` marks a step that overwrites one of its own
+    inputs (a compiled ``maj t0 <- b, c, t0``).
+    """
+    width = 1 + op.arity + op.num_temps
+    column = {DST_SLOT: 0, C0_SLOT: width, C1_SLOT: width + 1}
+    table = []
+    for step in op.steps:
+        out = column.get(step.dst, step.dst + 1)
+        srcs = tuple(column.get(slot, slot + 1) for slot in step.srcs)
+        table.append((step.op, out, srcs, out in srcs))
+    constants = any(c >= width for _, _, srcs, _ in table for c in srcs)
+    return tuple(table), constants
+
+
+def eval_program(op, sources: Sequence[np.ndarray]):
+    """The functional model of any op over row values.
+
+    Returns ``(dst_value, temp_values)``: the destination image and the
+    *final* contents of each scratch row, exactly what the fused kernel
+    and the per-row walk leave behind.  Steps run through the value
+    form of :func:`apply_bulk_op`, each into a fresh array, so a step
+    that overwrites a slot it reads needs no special care here.  The
+    fault-tolerant shadow predicts every op with this.
+    """
+    arity, num_temps = op.arity, op.num_temps
+    if len(sources) != arity:
+        raise AddressError(
+            f"{op.value} takes {arity} sources; got {len(sources)}"
+        )
+    table, constants = _step_table(op)
+    values = [None, *map(np.asarray, sources), *[None] * num_temps]
+    if constants:
+        zeros = values[1] ^ values[1]
+        values += (zeros, ~zeros)
+    for step_op, out, srcs, _ in table:
+        values[out] = apply_bulk_op(step_op, *[values[c] for c in srcs])
+    return values[0], tuple(values[1 + arity:1 + arity + num_temps])
+
+
 def _row_runs(columns: List[List[int]], storage_rows: int) -> List[list]:
     """Split aligned address columns into maximal runs of rows.
 
     Within a run the destination (column 0) steps by +1 from row to row
-    and every source either steps by +1 or stays on one row, so each
-    operand of the run is one basic index into the cell array: a slice
+    and every other column (sources, scratch rows) either steps by +1 or
+    stays on one row, so each operand of the run is one basic index into
+    the cell array: a slice
     of as many rows as the run, a one-row slice that broadcasts over it
     (the fixed source rows of a throughput batch), or, for a run of
     length 1 (scattered rows), the row address itself.  Returns one
@@ -240,28 +293,45 @@ class BatchEngine:
 
     def run_rows(
         self,
-        op: BulkOp,
+        op,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *sources: Optional[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
         fuse: bool = True,
     ) -> BatchReport:
-        """Execute ``dst[i] = op(src1[i], src2[i], src3[i])`` for every row.
+        """Execute ``dst[i] = op(sources[0][i], ...)`` for every row.
 
-        All operands of row ``i`` must share ``dst[i]``'s (bank,
-        subarray); stage strays first (:meth:`repro.core.driver.AmbitDriver.stage_for`).
-        Timing, energy, statistics, and the command trace are charged
-        exactly as the per-row path would.
+        ``op`` is a :class:`~repro.core.microprograms.BulkOp` or a
+        compiled op.  ``sources`` holds one row list per input (``None``
+        entries are dropped, so ``run_rows(op, dst, src1, src2, None)``
+        works) and ``temps`` one row list per scratch slot; all lists
+        align with ``dst``.  Every row of index ``i`` must share
+        ``dst[i]``'s (bank, subarray); stage strays first
+        (:meth:`repro.core.driver.AmbitDriver.stage_for`).  Timing,
+        energy, statistics, and the command trace are charged exactly as
+        the per-row path would.
 
         ``fuse=False`` forces every group down the per-row command walk
         -- the dispatch auto-tuner's "serial" tier.  The observable
         outcome is identical either way (that is the engine's core
         parity property); only wall-clock changes.
         """
+        if None in sources:
+            sources = tuple(rows for rows in sources if rows is not None)
         n = len(dst)
-        for name, rows in (("src1", src1), ("src2", src2), ("src3", src3)):
-            if rows is not None and len(rows) != n:
+        if len(sources) != op.arity:
+            raise AddressError(
+                f"{op.value} takes {op.arity} operand columns; "
+                f"got {len(sources)}"
+            )
+        if len(temps) != op.num_temps:
+            raise AddressError(
+                f"{op.value} needs {op.num_temps} scratch columns; "
+                f"got {len(temps)}"
+            )
+        for k, rows in enumerate((*sources, *temps)):
+            if len(rows) != n:
+                name = f"src{k + 1}" if k < len(sources) else "temp"
                 raise AddressError(
                     f"batch operand lists must align: {name} has "
                     f"{len(rows)} rows, dst has {n}"
@@ -274,11 +344,11 @@ class BatchEngine:
 
         # Runtime spare-row remapping happens here, at batch entry, so
         # planning, fusion, and accounting all see the repaired rows.
-        dst = self.translate_rows(dst)
-        src1 = self.translate_rows(src1)
-        src2 = self.translate_rows(src2)
-        src3 = self.translate_rows(src3)
-        groups = self.plan_groups(op, dst, src1, src2, src3)
+        if self.controller.repair:
+            dst = self.translate_rows(dst)
+            sources = [self.translate_rows(col) for col in sources]
+            temps = [self.translate_rows(col) for col in temps]
+        groups = self.plan_groups(op, dst, sources, temps)
         command_groups = [
             CommandGroup(bank=g.bank, duration_ns=g.duration_ns, payload=g)
             for g in groups
@@ -288,85 +358,8 @@ class BatchEngine:
         fused = 0
         for issued in self.scheduler.order(command_groups):
             group: _Group = issued.payload
-            if fuse and self._fused_eligible(group, dst, src1, src2, src3):
-                self._run_group_fused(op, group, dst, src1, src2, src3)
-                fused += len(group.indices)
-            else:
-                self._run_group_per_row(group)
-        if self._m_batches is not None:
-            self._m_batches.inc()
-            self._m_rows.labels(path="fused").inc(fused)
-            self._m_rows.labels(path="fallback").inc(n - fused)
-            self._m_makespan.observe(parallelism.makespan_ns)
-        return BatchReport(
-            rows=n,
-            fused_rows=fused,
-            fallback_rows=n - fused,
-            parallelism=parallelism,
-        )
-
-    def run_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-        fuse: bool = True,
-    ) -> BatchReport:
-        """Execute a compiled op over row batches: one dst row, one row
-        per input, and one row per scratch slot, for every index.
-
-        ``operands`` holds one row list per compiled input (in
-        ``cop.inputs`` order) and ``temps`` one row list per scratch
-        slot; all lists align with ``dst``.  Planning, fusion
-        eligibility, bank-interleaved issue, accounting, and the
-        metrics/trace surface are shared with :meth:`run_rows`, so
-        synthesized ops inherit the whole engine behind one call.
-        """
-        n = len(dst)
-        if len(operands) != cop.arity:
-            raise AddressError(
-                f"{cop.value} takes {cop.arity} operand columns; "
-                f"got {len(operands)}"
-            )
-        if len(temps) != cop.num_temps:
-            raise AddressError(
-                f"{cop.value} needs {cop.num_temps} scratch columns; "
-                f"got {len(temps)}"
-            )
-        for name, rows in [
-            (f"operand {i}", col) for i, col in enumerate(operands)
-        ] + [(f"temp {i}", col) for i, col in enumerate(temps)]:
-            if len(rows) != n:
-                raise AddressError(
-                    f"batch operand lists must align: {name} has "
-                    f"{len(rows)} rows, dst has {n}"
-                )
-        if n == 0:
-            return BatchReport(
-                rows=0, fused_rows=0, fallback_rows=0,
-                parallelism=self.scheduler.report(()),
-            )
-
-        dst = self.translate_rows(dst)
-        operands = [self.translate_rows(col) for col in operands]
-        temps = [self.translate_rows(col) for col in temps]
-        groups = self.plan_groups_compiled(cop, dst, operands, temps)
-        command_groups = [
-            CommandGroup(bank=g.bank, duration_ns=g.duration_ns, payload=g)
-            for g in groups
-        ]
-        parallelism = self.scheduler.report(command_groups)
-
-        fused = 0
-        for issued in self.scheduler.order(command_groups):
-            group: _Group = issued.payload
-            if fuse and self._fused_eligible_compiled(
-                group, dst, operands, temps
-            ):
-                self._run_group_fused_compiled(
-                    cop, group, dst, operands, temps
-                )
+            if fuse and self._fused_eligible(group, dst, sources, temps):
+                self._run_group_fused(op, group, dst, sources, temps)
                 fused += len(group.indices)
             else:
                 self._run_group_per_row(group)
@@ -407,11 +400,10 @@ class BatchEngine:
 
     def plan_groups(
         self,
-        op: BulkOp,
+        op,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        sources: Sequence[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
     ) -> List[_Group]:
         """Validate co-location and compile the batch into per-(bank,
         subarray) groups of cached plans.
@@ -420,78 +412,38 @@ class BatchEngine:
         device calls it directly so its plan-cache traffic (and thus the
         hit/miss counters) matches the single-process engine exactly.
         """
-        cache = self.plan_cache
+        lookup = self.plan_cache.lookup
+        dcc_route = self.controller.dcc_route
+        columns = (*sources, *temps)
+        arity = len(sources)
         groups: "OrderedDict[Tuple[int, int], _Group]" = OrderedDict()
-        for i in range(len(dst)):
-            d = dst[i]
-            sources = [src1[i]]
-            if src2 is not None:
-                sources.append(src2[i])
-            if src3 is not None:
-                sources.append(src3[i])
-            for loc in sources:
-                if (loc.bank, loc.subarray) != (d.bank, d.subarray):
+        for i, d in enumerate(dst):
+            place = (d.bank, d.subarray)
+            addrs = []
+            for col in columns:
+                loc = col[i]
+                if (loc.bank, loc.subarray) != place:
                     raise AddressError(
                         f"batch operands of row {i} must share a subarray: "
                         f"{loc} vs bank {d.bank} subarray {d.subarray} "
                         f"(stage cross-subarray operands first)"
                     )
-            plan = cache.get(
-                op,
-                d.address,
-                sources[0].address,
-                sources[1].address if len(sources) > 1 else None,
-                sources[2].address if len(sources) > 2 else None,
-                dcc=self.controller.dcc_route.get((d.bank, d.subarray), 0),
-            )
-            key = (d.bank, d.subarray)
-            group = groups.get(key)
+                addrs.append(loc.address)
+            plan = lookup((
+                op, d.address, tuple(addrs[:arity]), tuple(addrs[arity:]),
+                dcc_route.get(place, 0),
+            ))
+            group = groups.get(place)
             if group is None:
-                group = groups[key] = _Group(d.bank, d.subarray)
+                group = groups[place] = _Group(d.bank, d.subarray)
             group.indices.append(i)
             group.plans.append(plan)
         return list(groups.values())
 
-    def plan_groups_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> List[_Group]:
-        """Compiled-op variant of :meth:`plan_groups`.
-
-        Validates the driver's co-location contract over destination,
-        operand, *and* scratch rows, then binds one
-        :meth:`~repro.engine.plan.PlanCache.get_compiled` plan per row.
-        """
-        cache = self.plan_cache
-        groups: "OrderedDict[Tuple[int, int], _Group]" = OrderedDict()
-        for i in range(len(dst)):
-            d = dst[i]
-            row_srcs = tuple(col[i] for col in operands)
-            row_temps = tuple(col[i] for col in temps)
-            for loc in row_srcs + row_temps:
-                if (loc.bank, loc.subarray) != (d.bank, d.subarray):
-                    raise AddressError(
-                        f"batch operands of row {i} must share a subarray: "
-                        f"{loc} vs bank {d.bank} subarray {d.subarray} "
-                        f"(stage cross-subarray operands first)"
-                    )
-            plan = cache.get_compiled(
-                cop,
-                d.address,
-                tuple(loc.address for loc in row_srcs),
-                tuple(loc.address for loc in row_temps),
-                dcc=self.controller.dcc_route.get((d.bank, d.subarray), 0),
-            )
-            key = (d.bank, d.subarray)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _Group(d.bank, d.subarray)
-            group.indices.append(i)
-            group.plans.append(plan)
-        return list(groups.values())
+    # Kept only because perfbench/tracing.py hooks these names by class
+    # attribute; nothing calls them.  Compiled ops run through run_rows.
+    run_compiled = run_rows
+    plan_groups_compiled = plan_groups
 
     # ------------------------------------------------------------------
     # Eligibility
@@ -500,36 +452,7 @@ class BatchEngine:
         self,
         group: _Group,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]],
-        src3: Optional[Sequence[RowLocation]],
-    ) -> bool:
-        if self.chip.tracer is not None:
-            return False
-        subarray = self.chip.bank(group.bank).subarray(group.subarray)
-        if subarray.has_faults or subarray.amps.charge_model is not None:
-            return False
-        # Hazard check: the fused kernel reads every source before any
-        # destination is written, so a row whose source is another row's
-        # destination (or duplicate destinations) must take the
-        # sequential walk.
-        dst_addrs = [dst[i].address for i in group.indices]
-        if len(set(dst_addrs)) != len(dst_addrs):
-            return False
-        src_addrs = set()
-        for i in group.indices:
-            src_addrs.add(src1[i].address)
-            if src2 is not None:
-                src_addrs.add(src2[i].address)
-            if src3 is not None:
-                src_addrs.add(src3[i].address)
-        return not (set(dst_addrs) & src_addrs)
-
-    def _fused_eligible_compiled(
-        self,
-        group: _Group,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
+        sources: Sequence[Sequence[RowLocation]],
         temps: Sequence[Sequence[RowLocation]],
     ) -> bool:
         if self.chip.tracer is not None:
@@ -537,31 +460,31 @@ class BatchEngine:
         subarray = self.chip.bank(group.bank).subarray(group.subarray)
         if subarray.has_faults or subarray.amps.charge_model is not None:
             return False
-        # The fused kernel reads every operand column up front, then
-        # writes the destination *and* scratch columns; any write-write
-        # aliasing across the group's rows (shared scratch rows, say) or
-        # write-read overlap must take the sequential per-row walk.
-        write_addrs = [dst[i].address for i in group.indices]
+        # Hazard check: the fused kernel evaluates each step over whole
+        # runs of rows, so every row it writes (destinations and scratch
+        # rows) must be written by exactly one row of the group and read
+        # by none; anything else takes the sequential walk.
+        indices = group.indices
+        write_addrs = [dst[i].address for i in indices]
         for col in temps:
-            write_addrs.extend(col[i].address for i in group.indices)
-        if len(set(write_addrs)) != len(write_addrs):
+            write_addrs.extend(col[i].address for i in indices)
+        writes = set(write_addrs)
+        if len(writes) != len(write_addrs):
             return False
-        read_addrs = {
-            col[i].address for col in operands for i in group.indices
-        }
-        return not (set(write_addrs) & read_addrs)
+        return writes.isdisjoint(
+            [col[i].address for col in sources for i in indices]
+        )
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _run_group_fused(
         self,
-        op: BulkOp,
+        op,
         group: _Group,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]],
-        src3: Optional[Sequence[RowLocation]],
+        sources: Sequence[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]],
     ) -> None:
         bank, sub = group.bank, group.subarray
         if self.chip.bank(bank).open_subarray is not None:
@@ -572,61 +495,36 @@ class BatchEngine:
         cells, restore = subarray.cells, subarray.last_restore_ns
         start_ns = self.chip.clock_ns
 
-        # Functional effect, in place: one numpy call per run of rows
-        # on basic-slice views of the cells -- no gather, no result
-        # array, no scatter.  Eligibility rules out any overlap between
-        # destination and source rows, so the views never alias.
+        # Functional effect, in place: the op's steps run over each run
+        # of rows on basic-slice views of the cells -- no gather, no
+        # result array, no scatter.  Eligibility rules out any overlap
+        # between written and read rows, so the views never alias.
+        table, constants = _step_table(op)
         columns = [
             [rows[i].address for i in group.indices]
-            for rows in (dst, src1, src2, src3)
-            if rows is not None
+            for rows in (dst, *sources, *temps)
         ]
         for run in _row_runs(columns, len(cells)):
-            apply_bulk_op(op, *[cells[s] for s in run[1:]], out=cells[run[0]])
-            # The destination is restored by its write, and every source
-            # activation restores (and thereby refreshes) its rows.
+            views = [cells[s] for s in run]
+            if constants:
+                zeros = np.zeros_like(views[0])
+                views += (zeros, ~zeros)
+            for step_op, out, srcs, aliased in table:
+                args = [views[c] for c in srcs]
+                if aliased:
+                    # The out= forms read operands after writing ``out``
+                    # (MAJ computes ``src2 | src3`` into it first), so a
+                    # step that writes a row it reads goes through a
+                    # temporary.
+                    np.copyto(views[out], apply_bulk_op(step_op, *args))
+                else:
+                    apply_bulk_op(step_op, *args, out=views[out])
+            # Every written row is restored by its write, and every
+            # source activation restores (and thereby refreshes) its rows.
             for s in run:
                 restore[s] = start_ns
 
         self.account_group(op, group)
-
-    def _run_group_fused_compiled(
-        self,
-        cop,
-        group: _Group,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> None:
-        bank, sub = group.bank, group.subarray
-        if self.chip.bank(bank).open_subarray is not None:
-            raise DramProtocolError(
-                f"bank {bank} must be precharged before a bulk operation"
-            )
-        subarray = self.chip.bank(bank).subarray(sub)
-        indices = group.indices
-        start_ns = self.chip.clock_ns
-
-        sources = [
-            subarray.peek_batch([col[i].address for i in indices])
-            for col in operands
-        ]
-        result, temp_values = cop.eval_rows(sources)
-        dst_addrs = [dst[i].address for i in indices]
-        subarray.poke_batch(dst_addrs, result, now_ns=start_ns)
-        # Scratch rows end a per-row walk holding their final step
-        # values; poke them too so fused and per-row leave identical
-        # memory behind (the dispatch-parity property).
-        touched = list(dst_addrs)
-        for col, values in zip(temps, temp_values):
-            temp_addrs = [col[i].address for i in indices]
-            subarray.poke_batch(temp_addrs, values, now_ns=start_ns)
-            touched.extend(temp_addrs)
-        for col in operands:
-            touched.extend(col[i].address for i in indices)
-        subarray.touch_rows(touched, now_ns=start_ns)
-
-        self.account_group(cop, group)
 
     def account_group(self, op, group: _Group) -> None:
         """Charge one group's exact per-row command schedule.

@@ -18,34 +18,35 @@ handful of distinct plans.  :class:`PlanCache` memoises that compilation:
   trace (wordline counts and AAP-overlap flags included), so the batch
   engine can extend the trace without re-executing the state machine.
 
-Cache keys are ``(op, dk, di, dj, dl)`` local addresses under one fixed
+Cache keys are ``(op, dk, srcs, temps, dcc)``: the operation (a native
+:class:`~repro.core.microprograms.BulkOp` or a synthesized
+:class:`repro.compile.ops.CompiledOp`), its local destination, source
+and scratch row addresses, and the DCC route, under one fixed
 ``(address map, timing, split_decoder)`` configuration -- the cache is
-per-controller, and the controller's configuration is immutable.
-
-Synthesized operations (:class:`repro.compile.ops.CompiledOp`) register
-through :meth:`PlanCache.get_compiled`: their keys carry the compiled
-op itself plus the bound source/scratch rows, so compiled plans are
-memoised, trimmed, and expanded to command schedules exactly like the
-paper's fixed nine.  Hit/miss statistics are additionally kept per
-operation label (``hits_by_op``/``misses_by_op``), so ``repro profile``
-shows each compiled op as its own line instead of folding every
-synthesized plan into one catch-all bucket.
+per-controller, and the controller's configuration is immutable.  Both
+kinds of op bind through their own ``program()`` method, so compiled
+plans are memoised, trimmed, and expanded to command schedules exactly
+like the paper's fixed nine.  Hit/miss statistics are additionally kept
+per operation label (``hits_by_op``/``misses_by_op``), so ``repro
+profile`` shows each compiled op as its own line instead of folding
+every synthesized plan into one catch-all bucket.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.addressing import AmbitAddressMap
-from repro.core.microprograms import BulkOp, Microprogram, compile_op
+from repro.core.microprograms import BulkOp, Microprogram
 from repro.core.primitives import AAP, AP
 from repro.dram.commands import Command, IssuedCommand, Opcode
 from repro.dram.timing import TimingParameters
 
-#: Cache key: the operation, its local row addresses, and the DCC route.
-PlanKey = Tuple[BulkOp, int, int, Optional[int], Optional[int], int]
+#: Cache key: the operation, its destination, source and scratch row
+#: addresses, and the DCC route.
+PlanKey = Tuple[object, int, Tuple[int, ...], Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -168,54 +169,40 @@ class PlanCache:
 
     def get(
         self,
-        op: BulkOp,
+        op,
         dk: int,
-        di: int,
-        dj: Optional[int] = None,
-        dl: Optional[int] = None,
+        *srcs: Optional[int],
+        temps: Sequence[int] = (),
         dcc: int = 0,
     ) -> RowPlan:
-        """The plan for ``op`` at the given local addresses (compiling on miss).
+        """The plan for ``op`` bound to the given local rows (compiling on miss).
 
-        ``dcc`` selects the dual-contact row carrying single negations
-        (not/nand/nor); it is part of the cache key, so rerouting a
-        subarray around a broken DCC never aliases the healthy plans.
+        ``srcs`` are the operand rows in the op's input order (``None``
+        entries are dropped, so ``get(op, dk, di, dj, dl)`` works for
+        every native op) and ``temps`` the scratch rows a compiled op
+        clobbers.  ``dcc`` selects the dual-contact row carrying single
+        negations (not/nand/nor); it is part of the cache key, so
+        rerouting a subarray around a broken DCC never aliases the
+        healthy plans.
         """
-        key: PlanKey = (op, dk, di, dj, dl, dcc)
+        if None in srcs:
+            srcs = tuple(s for s in srcs if s is not None)
+        return self.lookup((op, dk, srcs, tuple(temps), dcc))
+
+    def lookup(self, key: PlanKey) -> RowPlan:
+        """The plan for a whole cache key (compiling on miss).
+
+        :meth:`get` without the argument normalisation, for the batch
+        engine's planner, which builds each row's ``(op, dk, srcs, temps,
+        dcc)`` key itself (a varargs call per row costs about 1 us).
+        """
         plan = self._plans.get(key)
         if plan is not None:
-            self._record_hit(op, key)
+            self._record_hit(key[0], key)
             return plan
+        op, dk, srcs, temps, dcc = key
         self._record_miss(op)
-        program = compile_op(self.amap, op, dk, di, dj, dl, dcc)
-        return self._install(key, program)
-
-    def get_compiled(
-        self,
-        cop,
-        dk: int,
-        srcs: Tuple[int, ...],
-        temps: Tuple[int, ...],
-        dcc: int = 0,
-    ) -> RowPlan:
-        """The plan for a compiled op bound to the given rows.
-
-        ``cop`` is a :class:`repro.compile.ops.CompiledOp`; ``srcs``
-        are the operand rows in its input order and ``temps`` its
-        reserved scratch rows.  The key carries the compiled op and the
-        full row binding, so distinct expressions (and distinct row
-        placements) never alias -- and the shared per-op counters keep
-        their statistics apart.
-        """
-        srcs = tuple(srcs)
-        temps = tuple(temps)
-        key = (cop, dk, srcs, temps, None, dcc)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._record_hit(cop, key)
-            return plan
-        self._record_miss(cop)
-        program = cop.program(self.amap, dk, srcs, temps, dcc=dcc)
+        program = op.program(self.amap, dk, srcs, temps, dcc=dcc)
         return self._install(key, program)
 
     def _record_hit(self, op, key) -> None:

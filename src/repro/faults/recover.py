@@ -2,10 +2,11 @@
 
 :class:`FaultTolerantSession` wraps a device (plain or sharded) and
 maintains a host-side *shadow*: a numpy image of every row the workload
-owns, advanced by :func:`~repro.engine.batch.apply_bulk_op` -- the same
-single source of functional truth the fused kernels and property tests
-use.  Every bulk operation is verified against the shadow by reading
-the destination back; a mismatch walks the recovery ladder:
+owns, advanced by :func:`~repro.engine.batch.eval_program` -- the same
+step interpreter over :func:`~repro.engine.batch.apply_bulk_op` the
+fused kernel runs.  Every bulk operation, native or compiled, is
+verified against the shadow by reading the destination back; a
+mismatch walks one recovery ladder:
 
 1. **retry** -- restore the source rows from the shadow and re-execute.
    A transient variation-induced TRA failure (Section 6) does not
@@ -13,19 +14,22 @@ the destination back; a mismatch walks the recovery ladder:
    restored *first* because a failed in-place op has already clobbered
    its destination-aliased operand.
 2. **probe + remap** -- command-path march probes
-   (:mod:`repro.faults.detect`) over the operand rows; rows that fail
-   are remapped to spare rows in the same subarray through the
-   controller's :class:`~repro.core.repair.RowRepairMap`
+   (:mod:`repro.faults.detect`) over the operand and scratch rows; rows
+   that fail are remapped to spare rows in the same subarray through
+   the controller's :class:`~repro.core.repair.RowRepairMap`
    (Section 5.5.3), their contents rewritten from the shadow, and the
    operation re-executed.
-3. **DCC reroute** -- probe the dual-contact row the program used; if
-   its n-wordline is dead, flip the subarray's
+3. **DCC reroute** -- keyed off the op's ``uses_single_dcc`` /
+   ``uses_dual_dcc``: probe the dual-contact rows the program uses; if
+   an n-wordline is dead, flip the subarray's
    :attr:`~repro.core.controller.AmbitController.dcc_route` to the
-   healthy DCC (not/nand/nor) or degrade to the minimal-B-group xor
-   composition of :func:`~repro.core.microprograms.compile_xor_minimal`
-   (xor/xnor need both DCCs; one broken leaves no 8-AAP path).  The
-   broken route is memoised so later xor/xnor on that subarray skip the
-   ladder and take the degraded path directly.
+   healthy DCC (single-negation programs) or, for the native xor/xnor
+   only, degrade to the minimal-B-group composition of
+   :func:`~repro.core.microprograms.compile_xor_minimal` (xor/xnor need
+   both DCCs; one broken leaves no 8-AAP path).  The broken route is
+   memoised so later xor/xnor on that subarray skip the ladder and take
+   the degraded path directly.  A compiled program with xor/xnor steps
+   is diagnosed but has no degraded form.
 4. **unrecovered** -- counted, recorded, and (in strict mode) raised as
    :class:`~repro.errors.FaultError`.
 
@@ -44,18 +48,12 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.microprograms import BulkOp, compile_xor_minimal
+from repro.core.microprograms import DUAL_DCC_OPS, compile_xor_minimal
 from repro.dram.chip import RowLocation
-from repro.engine.batch import apply_bulk_op
+from repro.engine.batch import eval_program
 from repro.errors import AddressError, FaultError
 from repro.faults.detect import probe_dcc, probe_row
 from repro.obs.metrics import fault_counters
-
-#: Operations whose microprogram routes through a single DCC.
-SINGLE_DCC_OPS = (BulkOp.NOT, BulkOp.NAND, BulkOp.NOR)
-
-#: Operations whose 8-AAP program needs *both* DCC rows.
-DUAL_DCC_OPS = (BulkOp.XOR, BulkOp.XNOR)
 
 #: How many timed ladder rungs a session retains.  The serving layer
 #: only ever reads the rungs appended during the current wave (via
@@ -261,108 +259,71 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     def run_rows(
         self,
-        op: BulkOp,
+        op,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *sources: Optional[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
     ) -> None:
-        """Execute, verify each destination, recover on mismatch."""
+        """Execute, verify each destination, recover on mismatch.
+
+        ``op`` is a :class:`~repro.core.microprograms.BulkOp` or a
+        compiled op; ``sources`` are its operand row lists (``None``
+        entries dropped) and ``temps`` its scratch row lists, as for
+        :meth:`repro.engine.batch.BatchEngine.run_rows`.  The expected
+        images come from :func:`~repro.engine.batch.eval_program` -- the
+        same step interpreter the fused kernel runs.  Scratch rows are
+        clobbered by construction; their shadow entries (when something
+        else made them interesting) are re-synced to the op's final
+        scratch values.
+        """
+        sources = [rows for rows in sources if rows is not None]
         n = len(dst)
-        sources = [
-            self._row_sources(src1, src2, src3, i) for i in range(n)
-        ]
+        row_sources = [[col[i] for col in sources] for i in range(n)]
+        row_temps = [[col[i] for col in temps] for i in range(n)]
         expected = [
-            apply_bulk_op(op, *[self._shadow_value(s) for s in srcs])
-            for srcs in sources
+            eval_program(op, [self._shadow_value(s) for s in srcs])
+            for srcs in row_sources
         ]
 
         # Rows on subarrays with a known-dead DCC cannot take the
         # standard xor/xnor program; send them down the degraded path
         # up front instead of rediscovering the fault every op.
-        degraded = [
-            i
-            for i in range(n)
-            if op in DUAL_DCC_OPS
-            and (dst[i].bank, dst[i].subarray) in self.bad_dcc
-        ]
-        normal = [i for i in range(n) if i not in set(degraded)]
+        degraded = {i for i in range(n) if self._degraded(op, dst[i])}
+        normal = [i for i in range(n) if i not in degraded]
         if normal:
             self._execute(
                 op,
                 [dst[i] for i in normal],
-                [src1[i] for i in normal],
-                None if src2 is None else [src2[i] for i in normal],
-                None if src3 is None else [src3[i] for i in normal],
+                [[col[i] for i in normal] for col in sources],
+                [[col[i] for i in normal] for col in temps],
             )
-        for i in degraded:
-            self._run_xor_minimal(op, dst[i], sources[i])
+        for i in sorted(degraded):
+            self._run_xor_minimal(op, dst[i], row_sources[i])
 
         for i in range(n):
-            got = self.device.read_row(dst[i])
-            if np.array_equal(got, expected[i]):
-                self.shadow[self._key(dst[i])] = expected[i].copy()
+            value, temp_values = expected[i]
+            if np.array_equal(self.device.read_row(dst[i]), value):
+                self.shadow[self._key(dst[i])] = value.copy()
+                self._sync_temps(row_temps[i], temp_values)
             else:
-                self._recover(op, dst[i], sources[i], expected[i])
+                self._recover(
+                    op, dst[i], row_sources[i], row_temps[i], expected[i]
+                )
 
     def bbop_row(
         self,
-        op: BulkOp,
+        op,
         dst: RowLocation,
-        src1: RowLocation,
-        src2: Optional[RowLocation] = None,
-        src3: Optional[RowLocation] = None,
+        *sources: Optional[RowLocation],
+        temps: Sequence[RowLocation] = (),
     ) -> None:
         """Single-row convenience wrapper over :meth:`run_rows`."""
         self.run_rows(
             op,
             [dst],
-            [src1],
-            None if src2 is None else [src2],
-            None if src3 is None else [src3],
+            *[[s] for s in sources if s is not None],
+            temps=[[t] for t in temps],
         )
-
-    def run_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> None:
-        """Verified execution of a compiled op; recover on mismatch.
-
-        The expected image comes from
-        :meth:`~repro.compile.ops.CompiledOp.eval_rows` -- the same
-        functional oracle the fused kernels use -- so synthesized
-        operations get the identical shadow-verify-recover contract as
-        the fixed ops.  Scratch rows are clobbered by construction;
-        their shadow entries (when something else made them
-        interesting) are re-synced to the op's final temp values.
-        """
-        n = len(dst)
-        sources = [[column[i] for column in operands] for i in range(n)]
-        row_temps = [[column[i] for column in temps] for i in range(n)]
-        expected: List[np.ndarray] = []
-        expected_temps: List[List[np.ndarray]] = []
-        for srcs in sources:
-            result, temp_values = cop.eval_rows(
-                [self._shadow_value(s) for s in srcs]
-            )
-            expected.append(result)
-            expected_temps.append(temp_values)
-
-        self._execute_compiled(cop, dst, operands, temps)
-
-        for i in range(n):
-            got = self.device.read_row(dst[i])
-            if np.array_equal(got, expected[i]):
-                self.shadow[self._key(dst[i])] = expected[i].copy()
-                self._sync_temps(row_temps[i], expected_temps[i])
-            else:
-                self._recover_compiled(
-                    cop, dst[i], sources[i], row_temps[i],
-                    expected[i], expected_temps[i],
-                )
 
     # ------------------------------------------------------------------
     # Reporting
@@ -390,11 +351,19 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     def _recover(
         self,
-        op: BulkOp,
+        op,
         dst: RowLocation,
         sources: List[RowLocation],
-        expected: np.ndarray,
+        temps: List[RowLocation],
+        expected,
     ) -> None:
+        """Climb the ladder for one mismatched row.
+
+        ``expected`` is the ``(dst_value, temp_values)`` pair of
+        :func:`~repro.engine.batch.eval_program`.  Scratch rows join the
+        operand rows in the remap probe set (a stuck scratch row
+        corrupts the result just as a stuck operand does).
+        """
         if not self.policy.enabled:
             self._counters["detected"].labels(kind="op_mismatch").inc()
             self._unrecovered(op.value, dst, "op_mismatch")
@@ -404,7 +373,7 @@ class FaultTolerantSession:
         # (the armed one-shot variation fault) does not recur.
         for _ in range(max(0, self.policy.max_retries)):
             started = time.perf_counter_ns()
-            recovered = self._reexecute(op, dst, sources, expected)
+            recovered = self._reexecute(op, dst, sources, temps, expected)
             self._attempt(op.value, dst, "retry", recovered, started)
             if recovered:
                 self._counters["detected"].labels(kind="tra_flip").inc()
@@ -412,12 +381,12 @@ class FaultTolerantSession:
                 self._record(op.value, dst, "tra_flip", "retried")
                 return
 
-        # Rung 2: march-probe the operand rows; remap the dead ones to
-        # spares and rewrite their contents from the shadow.
+        # Rung 2: march-probe the operand and scratch rows; remap the
+        # dead ones to spares and rewrite their contents from the shadow.
         started = time.perf_counter_ns()
         recovered = self._remap_stuck_rows(
-            op, dst, sources
-        ) and self._reexecute(op, dst, sources, expected)
+            op, dst, sources + temps
+        ) and self._reexecute(op, dst, sources, temps, expected)
         self._attempt(op.value, dst, "remap", recovered, started)
         if recovered:
             return
@@ -425,7 +394,7 @@ class FaultTolerantSession:
         # Rung 3: probe the DCC route the program used; reroute or
         # degrade around a dead n-wordline.
         started = time.perf_counter_ns()
-        recovered = self._reroute_dcc(op, dst, sources, expected)
+        recovered = self._reroute_dcc(op, dst, sources, temps, expected)
         self._attempt(op.value, dst, "dcc_reroute", recovered, started)
         if recovered:
             return
@@ -434,38 +403,37 @@ class FaultTolerantSession:
 
     def _reexecute(
         self,
-        op: BulkOp,
+        op,
         dst: RowLocation,
         sources: List[RowLocation],
-        expected: np.ndarray,
+        temps: List[RowLocation],
+        expected,
     ) -> bool:
         """Restore sources from the shadow, re-run, verify.
 
         Restoring first matters for in-place operations: after a failed
         attempt the destination holds garbage, and the destination may
-        alias a source.
+        alias a source.  Scratch rows need no restore: every step writes
+        a scratch row before any step reads it.
         """
         self._restore_sources(sources)
-        if (
-            op in DUAL_DCC_OPS
-            and (dst.bank, dst.subarray) in self.bad_dcc
-        ):
+        if self._degraded(op, dst):
             self._run_xor_minimal(op, dst, sources)
         else:
-            self._execute_one(op, dst, sources)
-        if np.array_equal(self.device.read_row(dst), expected):
-            self.shadow[self._key(dst)] = expected.copy()
+            self._execute(
+                op, [dst], [[s] for s in sources], [[t] for t in temps]
+            )
+        value, temp_values = expected
+        if np.array_equal(self.device.read_row(dst), value):
+            self.shadow[self._key(dst)] = value.copy()
+            self._sync_temps(temps, temp_values)
             return True
         return False
 
     def _remap_stuck_rows(
         self, op, dst: RowLocation, sources: List[RowLocation]
     ) -> bool:
-        """Probe operands; remap+rewrite failures.  True if any remapped.
-
-        ``op`` is a :class:`BulkOp` or a compiled op (only ``op.value``
-        is read, for the recovery record).
-        """
+        """Probe operands; remap+rewrite failures.  True if any remapped."""
         repair = self.controller.repair
         remapped = False
         seen = set()
@@ -509,16 +477,31 @@ class FaultTolerantSession:
 
     def _reroute_dcc(
         self,
-        op: BulkOp,
+        op,
         dst: RowLocation,
         sources: List[RowLocation],
-        expected: np.ndarray,
+        temps: List[RowLocation],
+        expected,
     ) -> bool:
         bank, sub = dst.bank, dst.subarray
         scratch = self.scratch.get((bank, sub))
         if scratch is None:
             return False
-        if op in SINGLE_DCC_OPS:
+        if op.uses_dual_dcc:
+            broken = [
+                r
+                for r in (0, 1)
+                if not probe_dcc(self.device, bank, sub, r, scratch)
+            ]
+            if broken:
+                self._counters["detected"].labels(kind="dcc").inc(len(broken))
+            # Only the native xor/xnor have a composition that survives
+            # one dead DCC (compile_xor_minimal); a compiled program
+            # with xor/xnor steps is diagnosed but cannot degrade.
+            if len(broken) != 1 or op not in DUAL_DCC_OPS:
+                return False
+            self.bad_dcc[(bank, sub)] = broken[0]
+        elif op.uses_single_dcc:
             route = self.controller.dcc_route.get((bank, sub), 0)
             if probe_dcc(self.device, bank, sub, route, scratch):
                 return False
@@ -527,159 +510,16 @@ class FaultTolerantSession:
             if not probe_dcc(self.device, bank, sub, other, scratch):
                 return False  # both routes dead; unrecoverable here
             self.controller.dcc_route[(bank, sub)] = other
-            if self._reexecute(op, dst, sources, expected):
-                self._counters["recovered"].labels(kind="dcc").inc()
-                self._record(op.value, dst, "dcc", "rerouted")
-                return True
+        else:
             return False
-        if op in DUAL_DCC_OPS:
-            broken = [
-                r
-                for r in (0, 1)
-                if not probe_dcc(self.device, bank, sub, r, scratch)
-            ]
-            if not broken:
-                return False
-            self._counters["detected"].labels(kind="dcc").inc(len(broken))
-            if len(broken) == 2:
-                return False
-            self.bad_dcc[(bank, sub)] = broken[0]
-            if self._reexecute(op, dst, sources, expected):
-                self._counters["recovered"].labels(kind="dcc").inc()
-                self._record(op.value, dst, "dcc", "rerouted")
-                return True
-            return False
-        return False
-
-    # ------------------------------------------------------------------
-    # The compiled-op recovery ladder
-    # ------------------------------------------------------------------
-    def _recover_compiled(
-        self,
-        cop,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: List[np.ndarray],
-    ) -> None:
-        """:meth:`_recover`, generalized to synthesized microprograms.
-
-        Same rungs in the same order; the differences are that scratch
-        rows join the remap probe set (a stuck temp corrupts the result
-        just as a stuck operand does) and that the DCC rung keys off the
-        op's step profile (``uses_single_dcc``/``uses_dual_dcc``)
-        instead of the fixed-op tables.
-        """
-        if not self.policy.enabled:
-            self._counters["detected"].labels(kind="op_mismatch").inc()
-            self._unrecovered(cop.value, dst, "op_mismatch")
-            return
-
-        for _ in range(max(0, self.policy.max_retries)):
-            started = time.perf_counter_ns()
-            recovered = self._reexecute_compiled(
-                cop, dst, sources, temps, expected, expected_temps
-            )
-            self._attempt(cop.value, dst, "retry", recovered, started)
-            if recovered:
-                self._counters["detected"].labels(kind="tra_flip").inc()
-                self._counters["recovered"].labels(kind="tra_flip").inc()
-                self._record(cop.value, dst, "tra_flip", "retried")
-                return
-
-        started = time.perf_counter_ns()
-        recovered = self._remap_stuck_rows(
-            cop, dst, sources + temps
-        ) and self._reexecute_compiled(
-            cop, dst, sources, temps, expected, expected_temps
-        )
-        self._attempt(cop.value, dst, "remap", recovered, started)
-        if recovered:
-            return
-
-        started = time.perf_counter_ns()
-        recovered = self._reroute_dcc_compiled(
-            cop, dst, sources, temps, expected, expected_temps
-        )
-        self._attempt(cop.value, dst, "dcc_reroute", recovered, started)
-        if recovered:
-            return
-
-        self._unrecovered(cop.value, dst, "op_mismatch")
-
-    def _reexecute_compiled(
-        self,
-        cop,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: List[np.ndarray],
-    ) -> bool:
-        """Restore sources from the shadow, re-run one row, verify.
-
-        Temps need no restore: every compiled step writes a scratch row
-        before any step reads it (SSA construction), so their entry
-        contents are irrelevant.
-        """
-        self._restore_sources(sources)
-        self._execute_compiled(
-            cop, [dst], [[s] for s in sources], [[t] for t in temps]
-        )
-        if np.array_equal(self.device.read_row(dst), expected):
-            self.shadow[self._key(dst)] = expected.copy()
-            self._sync_temps(temps, expected_temps)
-            return True
-        return False
-
-    def _reroute_dcc_compiled(
-        self,
-        cop,
-        dst: RowLocation,
-        sources: List[RowLocation],
-        temps: List[RowLocation],
-        expected: np.ndarray,
-        expected_temps: List[np.ndarray],
-    ) -> bool:
-        bank, sub = dst.bank, dst.subarray
-        scratch = self.scratch.get((bank, sub))
-        if scratch is None:
-            return False
-        if cop.uses_dual_dcc:
-            # xor/xnor steps need both DCC rows and compiled programs
-            # carry no degraded composition; diagnose (so the counters
-            # tell the story) but let the rung fail.
-            broken = [
-                r
-                for r in (0, 1)
-                if not probe_dcc(self.device, bank, sub, r, scratch)
-            ]
-            if broken:
-                self._counters["detected"].labels(kind="dcc").inc(
-                    len(broken)
-                )
-            return False
-        if not cop.uses_single_dcc:
-            return False
-        route = self.controller.dcc_route.get((bank, sub), 0)
-        if probe_dcc(self.device, bank, sub, route, scratch):
-            return False
-        self._counters["detected"].labels(kind="dcc").inc()
-        other = 1 - route
-        if not probe_dcc(self.device, bank, sub, other, scratch):
-            return False  # both routes dead; unrecoverable here
-        self.controller.dcc_route[(bank, sub)] = other
-        if self._reexecute_compiled(
-            cop, dst, sources, temps, expected, expected_temps
-        ):
+        if self._reexecute(op, dst, sources, temps, expected):
             self._counters["recovered"].labels(kind="dcc").inc()
-            self._record(cop.value, dst, "dcc", "rerouted")
+            self._record(op.value, dst, "dcc", "rerouted")
             return True
         return False
 
     def _sync_temps(
-        self, temps: List[RowLocation], values: List[np.ndarray]
+        self, temps: List[RowLocation], values: Sequence[np.ndarray]
     ) -> None:
         # Scratch rows enter the shadow only through an explicit
         # verified write; fresh driver leases stay out of it so
@@ -692,35 +532,24 @@ class FaultTolerantSession:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _execute_compiled(self, cop, dst, operands, temps) -> None:
-        # Mirrors _execute: a ShardedDevice exposes run_compiled
-        # directly; a plain AmbitDevice goes through its batch engine.
-        runner = getattr(self.device, "run_compiled", None)
-        if runner is None:
-            runner = self.device.engine.run_compiled
-        runner(cop, dst, operands, temps)
-
-    def _execute(self, op, dst, src1, src2, src3) -> None:
+    def _execute(self, op, dst, sources, temps) -> None:
         # ShardedDevice exposes run_rows directly; a plain AmbitDevice
         # goes through its batch engine.  Identical contracts.
         runner = getattr(self.device, "run_rows", None)
         if runner is None:
             runner = self.device.engine.run_rows
-        runner(op, dst, src1, src2, src3)
+        runner(op, dst, *sources, temps=temps)
 
-    def _execute_one(
-        self, op: BulkOp, dst: RowLocation, sources: List[RowLocation]
-    ) -> None:
-        self._execute(
-            op,
-            [dst],
-            [sources[0]],
-            [sources[1]] if len(sources) > 1 else None,
-            [sources[2]] if len(sources) > 2 else None,
-        )
+    def _degraded(self, op, dst: RowLocation) -> bool:
+        """True when ``op`` must take the degraded xor path on ``dst``.
+
+        Only a native xor/xnor degrades, and only on a subarray whose
+        dead DCC the ladder has already diagnosed.
+        """
+        return op in DUAL_DCC_OPS and (dst.bank, dst.subarray) in self.bad_dcc
 
     def _run_xor_minimal(
-        self, op: BulkOp, dst: RowLocation, sources: List[RowLocation]
+        self, op, dst: RowLocation, sources: List[RowLocation]
     ) -> None:
         """Degraded xor/xnor through one healthy DCC (Section 5.1 path).
 
@@ -754,14 +583,6 @@ class FaultTolerantSession:
             value = self.shadow.get(self._key(loc))
             if value is not None:
                 self.device.write_row(loc, value)
-
-    def _row_sources(self, src1, src2, src3, i) -> List[RowLocation]:
-        sources = [src1[i]]
-        if src2 is not None:
-            sources.append(src2[i])
-        if src3 is not None:
-            sources.append(src3[i])
-        return sources
 
     def _shadow_value(self, loc: RowLocation) -> np.ndarray:
         key = self._key(loc)

@@ -93,13 +93,15 @@ from repro.parallel.pool import WorkerPool
 from repro.parallel.shm import SharedRowStore
 from repro.parallel.tuner import AutoTuner, DispatchTier
 from repro.parallel.worker import (
-    COMPILED_OP,
     ShardJob,
     ShardResult,
     WorkerConfig,
     run_shard,
     spool_file_path,
 )
+
+#: Ops a shard job names by enum value; every other op rides the board.
+_NATIVE_OPS = frozenset(BulkOp)
 
 #: Valid ``dispatch`` modes: the three forced tiers plus the tuner.
 DISPATCH_MODES = ("sharded", "fused", "serial", "auto")
@@ -352,27 +354,28 @@ class ShardedDevice:
     # ------------------------------------------------------------------
     def run_rows(
         self,
-        op: BulkOp,
+        op,
         dst: Sequence[RowLocation],
-        src1: Sequence[RowLocation],
-        src2: Optional[Sequence[RowLocation]] = None,
-        src3: Optional[Sequence[RowLocation]] = None,
+        *sources: Optional[Sequence[RowLocation]],
+        temps: Sequence[Sequence[RowLocation]] = (),
     ) -> BatchReport:
         """Execute ``dst[i] = op(...)`` for every row on the chosen tier.
 
         Same contract and same observable outcome (cells, counters,
         elapsed time, energy, command trace, tracer-sink aggregates) as
-        :meth:`repro.engine.batch.BatchEngine.run_rows`; only the
-        wall-clock time and the ``shards`` field of the report differ.
+        :meth:`repro.engine.batch.BatchEngine.run_rows`, for native and
+        compiled ops alike; only the wall-clock time and the ``shards``
+        field of the report differ.  A compiled op's steps cross the
+        pool once, through the plan board (:meth:`_publish_op`).
         """
         engine = self.device.engine
+        sources = [rows for rows in sources if rows is not None]
         # Runtime spare-row remapping resolves here, before sharding, so
         # worker processes only ever see healthy (post-repair) rows and
         # need no view of the parent's repair table.
         dst = engine.translate_rows(dst)
-        src1 = engine.translate_rows(src1)
-        src2 = engine.translate_rows(src2)
-        src3 = engine.translate_rows(src3)
+        sources = [engine.translate_rows(col) for col in sources]
+        temps = [engine.translate_rows(col) for col in temps]
         banks = list(dict.fromkeys(loc.bank for loc in dst))
         shards = min(self.max_workers, len(banks))
         sharded_ok = (
@@ -386,13 +389,13 @@ class ShardedDevice:
         )
         self._m_dispatch.labels(tier=tier.value).inc()
         if tier is DispatchTier.SERIAL:
-            return engine.run_rows(op, dst, src1, src2, src3, fuse=False)
+            return engine.run_rows(op, dst, *sources, temps=temps, fuse=False)
         if tier is DispatchTier.FUSED or not sharded_ok:
             # In-process fallback: plan-cache traffic, counters, trace,
             # and cells are those of the plain engine by construction.
-            return engine.run_rows(op, dst, src1, src2, src3)
+            return engine.run_rows(op, dst, *sources, temps=temps)
 
-        groups = engine.plan_groups(op, dst, src1, src2, src3)
+        groups = engine.plan_groups(op, dst, sources, temps)
         self._check_precharged(banks)
 
         assignment = {bank: i % shards for i, bank in enumerate(banks)}
@@ -410,81 +413,13 @@ class ShardedDevice:
                         group.bank,
                         group.subarray,
                         dst[i].address,
-                        src1[i].address,
-                        src2[i].address if src2 is not None else None,
-                        src3[i].address if src3 is not None else None,
+                        tuple(col[i].address for col in sources),
+                        tuple(col[i].address for col in temps),
                     )
                 )
 
         return self._run_sharded(
-            op, op.value, engine, groups, len(dst), shards, shard_rows,
-            placement,
-        )
-
-    def run_compiled(
-        self,
-        cop,
-        dst: Sequence[RowLocation],
-        operands: Sequence[Sequence[RowLocation]],
-        temps: Sequence[Sequence[RowLocation]],
-    ) -> BatchReport:
-        """Execute a compiled-op batch on the chosen dispatch tier.
-
-        Same contract and observable outcome as
-        :meth:`repro.engine.batch.BatchEngine.run_compiled` -- synthesized
-        operations inherit sharded dispatch exactly as the fixed ops do.
-        The :class:`~repro.compile.ops.CompiledOp` itself is published
-        through the plan board once per op (its steps never travel with
-        a warm batch); workers resolve it by entry id, and the parent
-        re-derives accounting and traces from its own plan cache under
-        the op's ``c:<name>`` label.
-        """
-        engine = self.device.engine
-        dst = engine.translate_rows(dst)
-        operands = [engine.translate_rows(column) for column in operands]
-        temps = [engine.translate_rows(column) for column in temps]
-        banks = list(dict.fromkeys(loc.bank for loc in dst))
-        shards = min(self.max_workers, len(banks))
-        sharded_ok = (
-            len(dst) > 0
-            and shards >= 2
-            and self._parallel_eligible()
-            and not self._faulty_subarrays(dst)
-        )
-        tier = self._select_tier(
-            len(dst), self.device.row_bytes, sharded_ok, shards
-        )
-        self._m_dispatch.labels(tier=tier.value).inc()
-        if tier is DispatchTier.SERIAL:
-            return engine.run_compiled(cop, dst, operands, temps, fuse=False)
-        if tier is DispatchTier.FUSED or not sharded_ok:
-            return engine.run_compiled(cop, dst, operands, temps)
-
-        groups = engine.plan_groups_compiled(cop, dst, operands, temps)
-        self._check_precharged(banks)
-
-        assignment = {bank: i % shards for i, bank in enumerate(banks)}
-        shard_rows: List[List] = [[] for _ in range(shards)]
-        placement: Dict[int, Tuple[int, int]] = {}
-        for group in groups:
-            shard = assignment[group.bank]
-            rows = shard_rows[shard]
-            for i in group.indices:
-                placement[i] = (shard, len(rows))
-                rows.append(
-                    (
-                        group.bank,
-                        group.subarray,
-                        dst[i].address,
-                        tuple(column[i].address for column in operands),
-                        tuple(column[i].address for column in temps),
-                    )
-                )
-
-        op_ref, op_inline = self._publish_op(cop)
-        return self._run_sharded(
-            cop, COMPILED_OP, engine, groups, len(dst), shards, shard_rows,
-            placement, op_ref=op_ref, op_inline=op_inline,
+            op, engine, groups, len(dst), shards, shard_rows, placement
         )
 
     def _check_precharged(self, banks) -> None:
@@ -500,28 +435,20 @@ class ShardedDevice:
     def _run_sharded(
         self,
         op,
-        op_value: str,
         engine,
         groups,
         total_rows: int,
         shards: int,
         shard_rows: List[List],
         placement: Dict[int, Tuple[int, int]],
-        op_ref: Optional[int] = None,
-        op_inline: Optional[object] = None,
     ) -> BatchReport:
-        """Common sharded tail: publish, submit (with crash retry), merge.
-
-        ``op`` is a :class:`BulkOp` or a compiled op (anything with
-        ``.value``); ``op_value`` is what rides the job -- the enum value
-        for fixed ops, :data:`~repro.parallel.worker.COMPILED_OP` plus
-        ``op_ref``/``op_inline`` for synthesized ones.
-        """
+        """Sharded tail: publish, submit (with crash retry), merge."""
         chip = self.device.chip
         tracer = chip.tracer
         self._batch_seq += 1
         batch_id = self._batch_seq
 
+        op_ref, op_inline = self._publish_op(op)
         resident = self._publish_rows(shard_rows)
         tracer_ref, tracer_inline, spool_dir_inline = (
             self._publish_tracer(tracer) if tracer is not None
@@ -539,7 +466,7 @@ class ShardedDevice:
                     pool.submit(
                         run_shard,
                         ShardJob(
-                            op_value,
+                            op.value,
                             resident=resident,
                             rows=(
                                 tuple(rows) if resident is None else None
@@ -632,28 +559,33 @@ class ShardedDevice:
         ).inc()
         return rid
 
-    def _publish_op(self, cop) -> Tuple[Optional[int], Optional[object]]:
+    def _publish_op(self, op) -> Tuple[Optional[int], Optional[object]]:
         """Publish (or reuse) a compiled op's plan-board entry.
 
-        Compiled ops are frozen and hashable, so each distinct op's
-        steps cross the pool once; warm batches reference the entry id.
-        Returns ``(entry id, inline op)`` -- exactly one is non-``None``;
-        a full board downgrades to pickling the op with every job
-        (correct, just heavier), counted like any inline downgrade.
+        A native op travels as its enum value (``ShardJob.op``) and needs
+        no entry: returns ``(None, None)``.  Any other op is a compiled
+        program; compiled ops are frozen and hashable, so each distinct
+        op's steps cross the pool once and warm batches reference the
+        entry id.  Returns ``(entry id, inline op)`` -- exactly one is
+        non-``None``; a full board downgrades to pickling the op with
+        every job (correct, just heavier), counted like any inline
+        downgrade.
         """
-        if cop in self._op_resident:
-            rid = self._op_resident[cop]
+        if op in _NATIVE_OPS:
+            return None, None
+        if op in self._op_resident:
+            rid = self._op_resident[op]
             self._m_resident.labels(
                 event="reused" if rid is not None else "inline"
             ).inc()
-            return rid, (None if rid is not None else cop)
-        payload = pickle.dumps(cop, protocol=pickle.HIGHEST_PROTOCOL)
+            return rid, (None if rid is not None else op)
+        payload = pickle.dumps(op, protocol=pickle.HIGHEST_PROTOCOL)
         rid = self.block.publish(payload)
-        self._op_resident[cop] = rid
+        self._op_resident[op] = rid
         self._m_resident.labels(
             event="published" if rid is not None else "inline"
         ).inc()
-        return rid, (None if rid is not None else cop)
+        return rid, (None if rid is not None else op)
 
     def _publish_tracer(self, tracer):
         """Publish the tracer config + spool dir; inline on a full board."""

@@ -66,20 +66,11 @@ from typing import Dict, Optional, Tuple
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import TimingParameters
 
-#: One row of a shard job: (bank, subarray, dk, di, dj, dl).
-RowSpec = Tuple[int, int, int, int, Optional[int], Optional[int]]
-
-#: One row of a *compiled* shard job: (bank, subarray, dk, src
-#: addresses in ``CompiledOp.inputs`` order, temp addresses in slot
-#: order).  The nested tuples make the spec self-describing for any
-#: arity/scratch count, so the worker needs no per-op schema.
-CompiledRowSpec = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
-
-#: Sentinel ``ShardJob.op`` marking a compiled-operation job.  Regular
-#: jobs resolve ``op`` by ``BulkOp(value)`` lookup; compiled ops are
-#: synthesized objects with no enum entry, so they ride the plan board
-#: (``op_resident``) or pickle inline (``op_inline``) instead.
-COMPILED_OP = "__compiled__"
+#: One row of a shard job: (bank, subarray, dk, source addresses in
+#: the op's input order, scratch addresses in slot order).  The nested
+#: tuples make the spec self-describing for any arity/scratch count, so
+#: the worker needs no per-op schema.
+RowSpec = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -106,8 +97,9 @@ class ShardJob:
     tests assert they stay ``None`` in the steady state.
     """
 
-    #: ``BulkOp.value`` -- the enum member is resolved worker-side so the
-    #: job pickles to a handful of primitives.
+    #: ``op.value`` -- a native op's enum member is resolved worker-side
+    #: so the job pickles to a handful of primitives; a compiled op's
+    #: value is only its label (it rides ``op_resident``/``op_inline``).
     op: str
     #: Plan-board entry id of the published shard row-lists.
     resident: Optional[int] = None
@@ -130,7 +122,7 @@ class ShardJob:
     spool_dir: Optional[str] = None
     #: Plan-board entry id of the published
     #: :class:`~repro.compile.ops.CompiledOp`; set (or ``op_inline``)
-    #: when ``op`` is :data:`COMPILED_OP`.
+    #: for compiled ops, ``None`` for native ones.
     op_resident: Optional[int] = None
     #: Inline compiled-op fallback for a full plan board.
     op_inline: Optional[object] = None
@@ -239,12 +231,15 @@ def _job_tracer(job: ShardJob):
 
 
 def _job_op(job: ShardJob):
-    """The CompiledOp of a compiled job: resident entry or inline."""
+    """The job's op: a compiled op's resident entry or inline copy,
+    else the native op named by ``job.op``."""
+    from repro.core.microprograms import BulkOp
+
     if job.op_resident is not None:
         return _fetch_resident(job.op_resident)
-    if job.op_inline is None:  # pragma: no cover - dispatch contract
-        raise RuntimeError("compiled shard job carries no operation")
-    return job.op_inline
+    if job.op_inline is not None:
+        return job.op_inline
+    return BulkOp(job.op)
 
 
 def run_shard(job: ShardJob) -> int:
@@ -254,9 +249,6 @@ def run_shard(job: ShardJob) -> int:
     pipe.  Everything else (counters, spool, health telemetry) is
     written into the job's telemetry slot of the shared block.
     """
-    from repro.core.microprograms import BulkOp
-    from repro.dram.chip import RowLocation
-
     global _BATCHES_SERVED
     device = _DEVICE
     if device is None:  # pragma: no cover - initializer contract
@@ -269,44 +261,16 @@ def run_shard(job: ShardJob) -> int:
     device.chip.clock_ns = job.start_ns
 
     tracer_config, spool_dir = _job_tracer(job)
-    if job.op == COMPILED_OP:
-        cop = _job_op(job)
-        dst, operands, temps = _decode_compiled(cop, _job_rows(job))
-        if tracer_config is not None:
-            _run_traced_compiled(
-                device, job, cop, dst, operands, temps, tracer_config,
-                spool_dir,
-            )
-            fused = 0
-        else:
-            report = device.engine.run_compiled(cop, dst, operands, temps)
-            fused = report.fused_rows
+    op = _job_op(job)
+    dst, sources, temps = _decode(op, _job_rows(job))
+    if tracer_config is not None:
+        _run_traced(
+            device, job, op, dst, sources, temps, tracer_config, spool_dir
+        )
+        fused = 0
     else:
-        op = BulkOp(job.op)
-        dst, src1, src2, src3 = [], [], [], []
-        for bank, sub, dk, di, dj, dl in _job_rows(job):
-            dst.append(RowLocation(bank, sub, dk))
-            src1.append(RowLocation(bank, sub, di))
-            if dj is not None:
-                src2.append(RowLocation(bank, sub, dj))
-            if dl is not None:
-                src3.append(RowLocation(bank, sub, dl))
-
-        if tracer_config is not None:
-            _run_traced(
-                device, job, op, dst, src1, src2, src3, tracer_config,
-                spool_dir,
-            )
-            fused = 0
-        else:
-            report = device.engine.run_rows(
-                op,
-                dst,
-                src1,
-                src2 if src2 else None,
-                src3 if src3 else None,
-            )
-            fused = report.fused_rows
+        report = device.engine.run_rows(op, dst, *sources, temps=temps)
+        fused = report.fused_rows
 
     _BATCHES_SERVED += 1
     _BLOCK.write_telemetry(
@@ -322,24 +286,24 @@ def run_shard(job: ShardJob) -> int:
     return job.shard
 
 
-def _decode_compiled(cop, rows):
-    """Split compiled rowspecs into dst / operand / temp row columns."""
+def _decode(op, rows):
+    """Split rowspecs into dst / source / scratch row columns."""
     from repro.dram.chip import RowLocation
 
     dst = []
-    operands = [[] for _ in range(cop.arity)]
-    temps = [[] for _ in range(cop.num_temps)]
+    sources = [[] for _ in range(op.arity)]
+    temps = [[] for _ in range(op.num_temps)]
     for bank, sub, dk, srcs, temp_addrs in rows:
         dst.append(RowLocation(bank, sub, dk))
-        for column, address in zip(operands, srcs):
+        for column, address in zip(sources, srcs):
             column.append(RowLocation(bank, sub, address))
         for column, address in zip(temps, temp_addrs):
             column.append(RowLocation(bank, sub, address))
-    return dst, operands, temps
+    return dst, sources, temps
 
 
 def _run_traced(
-    device, job: ShardJob, op, dst, src1, src2, src3, tracer_config, spool_dir
+    device, job: ShardJob, op, dst, sources, temps, tracer_config, spool_dir
 ) -> None:
     """Execute a traced shard per-row, spooling events zero-copy.
 
@@ -362,36 +326,8 @@ def _run_traced(
             device.bbop_row(
                 op,
                 dst[i],
-                src1[i],
-                src2[i] if src2 else None,
-                src3[i] if src3 else None,
-            )
-    finally:
-        device.chip.tracer = None
-        tracer.close()
-    _publish_spool(job, buffer, spool_dir)
-
-
-def _run_traced_compiled(
-    device, job: ShardJob, cop, dst, operands, temps, tracer_config, spool_dir
-) -> None:
-    """Compiled twin of :func:`_run_traced`: per-row walk, spooled.
-
-    Each row runs through ``bbop_compiled_row`` -- the same per-row
-    command walk the serial engine traces -- so every row still
-    contributes one contiguous event segment ending in its ``kind="op"``
-    event and the parent's canonical-order merge applies unchanged.
-    """
-    buffer = io.StringIO()
-    tracer = tracer_config.build(buffer)
-    device.chip.tracer = tracer
-    try:
-        for i in range(len(dst)):
-            device.bbop_compiled_row(
-                cop,
-                dst[i],
-                [column[i] for column in operands],
-                [column[i] for column in temps],
+                *[column[i] for column in sources],
+                temps=[column[i] for column in temps],
             )
     finally:
         device.chip.tracer = None

@@ -53,11 +53,11 @@ def _run(session, cop):
     temps = [
         RowLocation(0, 0, TEMP_BASE + t) for t in range(cop.num_temps)
     ]
-    session.run_compiled(
+    session.run_rows(
         cop,
         [DST],
-        [[loc] for loc in sources],
-        [[loc] for loc in temps],
+        *[[loc] for loc in sources],
+        temps=[[loc] for loc in temps],
     )
     return temps
 

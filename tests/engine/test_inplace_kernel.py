@@ -2,20 +2,23 @@
 
 :meth:`repro.engine.batch.BatchEngine.run_rows` evaluates each group in
 place on basic-slice views of ``Subarray.cells``, one kernel call per
-run of rows whose destination steps by +1 and whose sources step by +1
-or stay on one row.  These tests pin that kernel against ``fuse=False``
-(the per-row command walk) on identical devices, for every op and for
-layouts that give one run per group, runs of length 1, runs that break
-midway, and cells that live in a shared-memory segment.  Restore stamps are pinned against the
-gather/scatter kernel the in-place one replaced: the documented
-modelling delta of the fused path (stamps at the group's issue time)
-is unchanged.
+program step per run of rows whose destination steps by +1 and whose
+source and scratch rows step by +1 or stay on one row.  These tests pin
+that kernel against ``fuse=False`` (the per-row command walk) on
+identical devices, for every native op and for compiled ops with
+scratch rows (one of them with a step that overwrites a scratch row it
+reads), over layouts that give one run per group, runs of length 1,
+runs that break midway, and cells that live in a shared-memory
+segment.  Restore stamps are pinned against a gather/scatter kernel:
+the documented modelling delta of the fused path (stamps at the
+group's issue time) is unchanged.
 """
 
 import numpy as np
 import pytest
 
 import repro.engine.batch as batch
+from repro.compile import compile_expr, parse_expr
 from repro.core.device import AmbitDevice
 from repro.core.microprograms import BulkOp
 from repro.dram.chip import RowLocation
@@ -24,7 +27,15 @@ from repro.engine.batch import BatchEngine, apply_bulk_op
 from repro.errors import AddressError
 from repro.parallel.shm import SharedRowStore
 
-ALL_OPS = tuple(BulkOp)
+#: ``maj(a ^ b, b, c) ^ a`` compiles to ``maj t0 <- b, c, t0``: a step
+#: that overwrites a scratch row it reads.
+ALIASED = compile_expr(parse_expr("maj(a ^ b, b, c) ^ a"), name="aliased")
+COMPILED_OPS = (
+    ALIASED,
+    compile_expr(parse_expr("(a & b) | (~a & c)"), name="two_temps"),
+    compile_expr(parse_expr("a & b"), name="and"),
+)
+ALL_OPS = tuple(BulkOp) + COMPILED_OPS
 GEO = small_test_geometry(rows=64, row_bytes=64, banks=2, subarrays_per_bank=2)
 DATA_ROWS = GEO.subarray.data_rows
 WORDS = GEO.subarray.words_per_row
@@ -66,20 +77,37 @@ LAYOUTS = {
         list(range(40, 40 + N)),
     ],
 }
+#: Scratch-row columns of one group, by layout; they keep its runs.
+TEMP_LAYOUTS = {
+    "contiguous": [_contiguous(4), _contiguous(5)],
+    "fixed-sources": [_contiguous(4), _contiguous(5)],
+    "reversed": [_contiguous(4), _contiguous(5)],
+    "sources-step-down": [list(range(12, 18)), [42, 43, 44, 45, 18, 19]],
+    "scattered": [[2, 4, 7, 10, 12, 13], [16, 18, 19, 21, 23, 24]],
+    "breaks-midway": [[24, 25, 32, 33, 34, 35], [2, 3, 10, 11, 18, 19]],
+}
 #: Kernel calls per group each layout must take: the runs are maximal.
 RUNS_PER_GROUP = {"contiguous": 1, "fixed-sources": 1, "reversed": N,
                   "sources-step-down": N, "scattered": N, "breaks-midway": 3}
 
 
+def _ids(ops):
+    return [op.value for op in ops]
+
+
 def _rows(layout, op):
-    """Row lists over every (bank, subarray) with ``layout``'s addresses."""
-    columns = LAYOUTS[layout][: 1 + op.arity]
+    """``(dst, *sources), temps`` row lists over every (bank, subarray)
+    with ``layout``'s addresses."""
+    columns = (
+        LAYOUTS[layout][: 1 + op.arity]
+        + TEMP_LAYOUTS[layout][: op.num_temps]
+    )
     lists = [[] for _ in columns]
     for bank in range(GEO.banks):
         for sub in range(GEO.subarrays_per_bank):
             for col, rows in zip(columns, lists):
                 rows.extend(RowLocation(bank, sub, a) for a in col)
-    return lists
+    return lists[: 1 + op.arity], lists[1 + op.arity:]
 
 
 def _device(seed, row_store=None):
@@ -105,18 +133,23 @@ def _subarrays(device):
     ]
 
 
-def _gather_scatter(self, op, group, dst, src1, src2, src3):
-    """The kernel the in-place one replaced: gather, apply, scatter."""
+def _gather_scatter(self, op, group, dst, sources, temps):
+    """A gather, evaluate, scatter kernel over copies of the rows."""
     subarray = self.chip.bank(group.bank).subarray(group.subarray)
     now = self.chip.clock_ns
-    columns = [
-        [rows[i].address for i in group.indices]
-        for rows in (dst, src1, src2, src3)
-        if rows is not None
+    dst_col, *src_cols = [
+        [rows[i].address for i in group.indices] for rows in (dst, *sources)
     ]
-    values = [subarray.peek_batch(col) for col in columns[1:]]
-    subarray.poke_batch(columns[0], apply_bulk_op(op, *values), now_ns=now)
-    subarray.touch_rows([a for col in columns for a in col], now_ns=now)
+    temp_cols = [[col[i].address for i in group.indices] for col in temps]
+    values = [subarray.peek_batch(col) for col in src_cols]
+    result, temp_values = batch.eval_program(op, values)
+    subarray.poke_batch(dst_col, result, now_ns=now)
+    for col, value in zip(temp_cols, temp_values):
+        subarray.poke_batch(col, value, now_ns=now)
+    subarray.touch_rows(
+        [a for col in [dst_col, *src_cols, *temp_cols] for a in col],
+        now_ns=now,
+    )
     self.account_group(op, group)
 
 
@@ -145,12 +178,14 @@ def _assert_same_run(fused, walked, reference):
 
 
 def _kernel_calls(monkeypatch):
+    """Rows per kernel call (the ``out=`` view or the temporary)."""
     calls = []
     inner = batch.apply_bulk_op
 
     def counting(op, *args, **kwargs):
-        calls.append(kwargs["out"].size // WORDS)
-        return inner(op, *args, **kwargs)
+        result = inner(op, *args, **kwargs)
+        calls.append(result.size // WORDS)
+        return result
 
     monkeypatch.setattr(batch, "apply_bulk_op", counting)
     return calls
@@ -158,25 +193,30 @@ def _kernel_calls(monkeypatch):
 
 class TestInPlaceParity:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("op", ALL_OPS, ids=[op.value for op in ALL_OPS])
+    @pytest.mark.parametrize("op", ALL_OPS, ids=_ids(ALL_OPS))
     def test_fused_matches_per_row_walk(self, op, layout, monkeypatch):
         fused, walked, reference = (_device(seed=3) for _ in range(3))
-        rows = _rows(layout, op)
+        rows, temps = _rows(layout, op)
         reference.engine._run_group_fused = _gather_scatter.__get__(
             reference.engine, BatchEngine
         )
-        walked.engine.run_rows(op, *rows, fuse=False)
-        reference.engine.run_rows(op, *rows)
+        walked.engine.run_rows(op, *rows, temps=temps, fuse=False)
+        reference.engine.run_rows(op, *rows, temps=temps)
         calls = _kernel_calls(monkeypatch)
-        report = fused.engine.run_rows(op, *rows)
+        report = fused.engine.run_rows(op, *rows, temps=temps)
         assert report.fused_rows == len(rows[0])
         groups = GEO.banks * GEO.subarrays_per_bank
-        assert len(calls) == groups * RUNS_PER_GROUP[layout]
-        assert sum(calls) == len(rows[0])
+        steps = len(op.steps)
+        assert len(calls) == groups * RUNS_PER_GROUP[layout] * steps
+        assert sum(calls) == len(rows[0]) * steps
         _assert_same_run(fused, walked, reference)
 
-    @pytest.mark.parametrize("op", [BulkOp.XNOR, BulkOp.MAJ, BulkOp.COPY],
-                             ids=lambda op: op.value)
+    def test_aliased_step_is_covered(self):
+        """The compiled op above really has a step reading its own output."""
+        assert any(step.dst in step.srcs for step in ALIASED.steps)
+
+    @pytest.mark.parametrize("op", [BulkOp.XNOR, BulkOp.MAJ, BulkOp.COPY,
+                                    ALIASED], ids=lambda op: op.value)
     def test_shared_memory_cells(self, op):
         """Writes land in the shared segment that backs the cells."""
         store = SharedRowStore.create(GEO)
@@ -186,10 +226,10 @@ class TestInPlaceParity:
             reference.engine._run_group_fused = _gather_scatter.__get__(
                 reference.engine, BatchEngine
             )
-            rows = _rows("breaks-midway", op)
-            walked.engine.run_rows(op, *rows, fuse=False)
-            reference.engine.run_rows(op, *rows)
-            report = fused.engine.run_rows(op, *rows)
+            rows, temps = _rows("breaks-midway", op)
+            walked.engine.run_rows(op, *rows, temps=temps, fuse=False)
+            reference.engine.run_rows(op, *rows, temps=temps)
+            report = fused.engine.run_rows(op, *rows, temps=temps)
             assert report.fused_rows == len(rows[0])
             _assert_same_run(fused, walked, reference)
             for bank in range(GEO.banks):
@@ -204,7 +244,7 @@ class TestInPlaceParity:
 
 
 class TestApplyBulkOp:
-    @pytest.mark.parametrize("op", ALL_OPS, ids=[op.value for op in ALL_OPS])
+    @pytest.mark.parametrize("op", tuple(BulkOp), ids=_ids(BulkOp))
     def test_out_form_matches_value_form(self, op):
         rng = np.random.default_rng(11)
         srcs = [rng.integers(0, 2**64, size=(3, WORDS), dtype=np.uint64)

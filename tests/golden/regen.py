@@ -105,7 +105,7 @@ def compiled_trace_text(name: str, expr_text: str, device=None) -> str:
     ]
     log = CommandLog(device)
     try:
-        device.bbop_compiled_row(cop, DST, sources, temps)
+        device.bbop_row(cop, DST, *sources, temps=temps)
         return log.text() + "\n"
     finally:
         log.detach()
